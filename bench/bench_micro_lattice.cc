@@ -1,4 +1,4 @@
-// Lattice micro benchmark: lazy memoized materialization vs. the legacy
+// Lattice micro benchmark: lazy materialization vs. the legacy
 // eager build, on the lattice hot paths. Three sections:
 //
 //  1. Build cost: Lattice::Build with lazy materialization (bottom node +
@@ -12,7 +12,7 @@
 //     parents, so nodes_materialized stays below nodes_total.
 //  3. Full cleaning sessions lazy vs. eager: the determinism gate. All
 //     interaction metrics must be bit-identical; the lazy run must report
-//     nodes_materialized < nodes_total and its IntersectionMemo hit rate.
+//     nodes_materialized < nodes_total.
 //
 // Emits BENCH_micro_lattice.json. Exit code 1 when the determinism gate
 // fails or the lazy path degenerates to full materialization. Default 500k
@@ -110,16 +110,12 @@ void PrintSession(FILE* f, const SessionResult& r, bool trailing_comma) {
                "    \"%s\": {\"wall_ms\": %.2f, \"lattice_build_ms\": %.3f, "
                "\"lattice_maintain_ms\": %.3f, \"lattices_built\": %zu, "
                "\"nodes_materialized\": %zu, \"nodes_total\": %zu, "
-               "\"fused_count_calls\": %zu, \"memo_hits\": %zu, "
-               "\"memo_misses\": %zu, \"memo_admitted\": %zu, "
-               "\"memo_first_touch_skips\": %zu, \"user_updates\": %zu, "
+               "\"fused_count_calls\": %zu, \"user_updates\": %zu, "
                "\"user_answers\": %zu, \"cells_repaired\": %zu, "
                "\"queries_applied\": %zu}%s\n",
                r.name.c_str(), r.wall_ms, m.lattice_build_ms,
                m.lattice_maintain_ms, m.lattices_built, m.nodes_materialized,
-               m.nodes_total, m.fused_count_calls, m.lattice_memo_hits,
-               m.lattice_memo_misses, m.lattice_memo_admitted,
-               m.lattice_memo_first_touch_skips, m.user_updates,
+               m.nodes_total, m.fused_count_calls, m.user_updates,
                m.user_answers, m.cells_repaired, m.queries_applied,
                trailing_comma ? "," : "");
 }
@@ -137,7 +133,7 @@ int main(int argc, char** argv) {
     return *rc;
   }
   bench::PrintBanner(
-      "bench_micro_lattice — lazy memoized materialization vs eager build",
+      "bench_micro_lattice — lazy materialization vs eager build",
       "Section 5.1 lattice hot paths");
 
   auto ds = MakeSynth(rows, 41);
@@ -146,8 +142,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Concentrate the errors on one FD target (A2,A3 → A6): successive
-  // episodes repair tuples sharing predicate bindings, the regime where the
-  // cross-lattice IntersectionMemo earns its keep.
+  // episodes repair tuples sharing predicate bindings.
   ErrorSpec spec;
   spec.seed = 31;
   RuleErrorSpec rule;
@@ -268,34 +263,22 @@ int main(int argc, char** argv) {
           ? 1.0
           : static_cast<double>(lazy_run.metrics.nodes_materialized) /
                 static_cast<double>(lazy_run.metrics.nodes_total);
-  size_t memo_probes = lazy_run.metrics.lattice_memo_hits +
-                       lazy_run.metrics.lattice_memo_misses;
-  double memo_hit_rate =
-      memo_probes == 0
-          ? 0.0
-          : static_cast<double>(lazy_run.metrics.lattice_memo_hits) /
-                static_cast<double>(memo_probes);
   double session_build_speedup = eager_run.metrics.lattice_build_ms /
                                  std::max(lazy_run.metrics.lattice_build_ms,
                                           1e-6);
 
-  std::printf("\n%-7s %9s %11s %14s %12s %10s\n", "mode", "wall(ms)",
-              "build(ms)", "materialized", "fused", "memo");
+  std::printf("\n%-7s %9s %11s %14s %12s\n", "mode", "wall(ms)",
+              "build(ms)", "materialized", "fused");
   for (const SessionResult* r : {&lazy_run, &eager_run}) {
-    std::printf("%-7s %9.1f %11.3f %7zu/%-7zu %10zu %5zu/%-5zu\n",
-                r->name.c_str(), r->wall_ms, r->metrics.lattice_build_ms,
+    std::printf("%-7s %9.1f %11.3f %7zu/%-7zu %10zu\n", r->name.c_str(),
+                r->wall_ms, r->metrics.lattice_build_ms,
                 r->metrics.nodes_materialized, r->metrics.nodes_total,
-                r->metrics.fused_count_calls, r->metrics.lattice_memo_hits,
-                memo_probes == 0 && r == &eager_run
-                    ? 0
-                    : r->metrics.lattice_memo_hits +
-                          r->metrics.lattice_memo_misses);
+                r->metrics.fused_count_calls);
   }
   std::printf("\nbuild speedup (widest micro config): %.1fx\n", build_speedup);
   std::printf("session lattice_build_ms speedup:    %.2fx\n",
               session_build_speedup);
   std::printf("lazy materialization ratio:          %.3f\n", lazy_ratio);
-  std::printf("intersection-memo hit rate:          %.3f\n", memo_hit_rate);
   std::printf("identical session metrics lazy/eager: %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
   if (!actually_lazy) {
@@ -334,12 +317,11 @@ int main(int argc, char** argv) {
                  "  \"identical_metrics\": %s,\n"
                  "  \"lazy_path_lazy\": %s,\n"
                  "  \"lazy_ratio\": %.4f,\n"
-                 "  \"memo_hit_rate\": %.4f,\n"
                  "  \"lattice_build_ms\": {\"lazy\": %.3f, \"eager\": %.3f},\n"
                  "  \"build_speedup\": %.2f,\n"
                  "  \"session_build_speedup\": %.2f\n}\n",
                  identical ? "true" : "false",
-                 actually_lazy ? "true" : "false", lazy_ratio, memo_hit_rate,
+                 actually_lazy ? "true" : "false", lazy_ratio,
                  lazy_run.metrics.lattice_build_ms,
                  eager_run.metrics.lattice_build_ms, build_speedup,
                  session_build_speedup);

@@ -428,8 +428,6 @@ JsonValue RunSharedSweep(const std::string& dataset, double sweep_scale,
         s.Set("posting_shared_misses", m.posting_shared_misses);
         s.Set("posting_shared_hit_rate", m.PostingSharedHitRate());
         s.Set("posting_hit_rate", m.PostingHitRate());
-        s.Set("memo_shared_hit_rate", m.MemoSharedHitRate());
-        s.Set("memo_hit_rate", m.MemoHitRate());
         s.Set("private_resident_bytes", m.posting_resident_bytes);
         s.Set("shared_pinned_bytes", m.posting_shared_bytes);
         per_session.Append(std::move(s));

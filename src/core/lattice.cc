@@ -85,7 +85,6 @@ StatusOr<Lattice> Lattice::Build(const Table& table, const Repair& repair,
   lat.maintain_index_ = options.maintain_index;
   lat.lazy_ = options.lazy && !options.naive_init;
   lat.compressed_ = options.compressed && !options.naive_init;
-  lat.memo_ = lat.lazy_ ? options.memo : nullptr;
   lat.affected_.resize(n_nodes);
   lat.counts_.assign(n_nodes, kNoCount);
   lat.cached_flag_.assign(n_nodes, 0);
@@ -203,29 +202,10 @@ const HybridRowSet& Lattice::MaterializeBitmap(NodeId m) const {
   if (materialized(m)) return affected_[m];
   int lo = std::countr_zero(m);
   NodeId parent = m & (m - 1);
-  size_t count;
-  if (memo_ != nullptr && std::popcount(m) == 2) {
-    // Two-attribute node: its set is bottom ∧ pred_i ∧ pred_j, and the
-    // pure pairwise intersection pred_i ∧ pred_j recurs across the
-    // session's lattices (bindings repeat) — serve or seed the memo.
-    size_t i = static_cast<size_t>(lo);
-    size_t j = static_cast<size_t>(std::countr_zero(parent));
-    if (const HybridRowSet* entry = memo_->Find(cols_[i], bindings_[i],
-                                                cols_[j], bindings_[j])) {
-      count = affected_[m].AssignAnd(*entry, affected_[0]);
-    } else {
-      HybridRowSet inter = preds_[i];
-      inter.And(preds_[j]);
-      count = affected_[m].AssignAnd(inter, affected_[0]);
-      memo_->Put(cols_[i], bindings_[i], cols_[j], bindings_[j],
-                 std::move(inter));
-    }
-  } else {
-    const HybridRowSet& p = MaterializeBitmap(parent);
-    // Fused materialization: one pass writes parent ∧ pred and counts it
-    // in registers, so the count below is genuinely free.
-    count = affected_[m].AssignAnd(p, preds_[static_cast<size_t>(lo)]);
-  }
+  const HybridRowSet& p = MaterializeBitmap(parent);
+  // Fused materialization: one pass writes parent ∧ pred and counts it in
+  // registers, so the count below is genuinely free.
+  size_t count = affected_[m].AssignAnd(p, preds_[static_cast<size_t>(lo)]);
   // Record the count (identically in both representations, keeping the
   // lazy counters aligned) and let the density policy pick the storage.
   if (counts_[m] == kNoCount) counts_[m] = count;
@@ -244,29 +224,6 @@ size_t Lattice::Count(NodeId n) const {
   size_t c;
   if (materialized(n)) {
     c = affected_[n].Count();
-  } else if (memo_ != nullptr && std::popcount(n) == 2) {
-    size_t i = static_cast<size_t>(std::countr_zero(n));
-    size_t j = static_cast<size_t>(std::countr_zero(n & (n - 1)));
-    if (const HybridRowSet* entry =
-            memo_->Find(cols_[i], bindings_[i], cols_[j], bindings_[j])) {
-      // Count-only memo hit: one fused pass, no bitmap resident at all.
-      c = affected_[0].AndCount(*entry);
-      ++fused_count_calls_;
-    } else if (memo_->RecordTouch(cols_[i], bindings_[i], cols_[j],
-                                  bindings_[j])) {
-      // The pair recurred: pay one materialized intersection now (the
-      // Put admits it off probation) so every later touch is a hit.
-      HybridRowSet inter = preds_[i];
-      inter.And(preds_[j]);
-      c = affected_[0].AndCount(inter);
-      ++fused_count_calls_;
-      memo_->Put(cols_[i], bindings_[i], cols_[j], bindings_[j],
-                 std::move(inter));
-    } else {
-      const HybridRowSet& p = MaterializeBitmap(n & (n - 1));
-      c = p.AndCount(preds_[i]);
-      ++fused_count_calls_;
-    }
   } else {
     const HybridRowSet& p = MaterializeBitmap(n & (n - 1));
     c = p.AndCount(preds_[static_cast<size_t>(std::countr_zero(n))]);
@@ -319,23 +276,9 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
   // Phase 1: materialize every missing ancestor bitmap, level by level
   // (a node's parent sits one popcount level below, so each level only
   // reads bitmaps finished in earlier levels — shards write disjoint
-  // affected_ slots, keeping the schedule deterministic). The memo is
-  // single-threaded state, so only the two-attribute bucket — one small
-  // level, at most C(k,2) nodes — runs serially through the memoized
-  // path; it is where the cross-lattice pairwise intersections live, and
-  // a memo hit produces bit-identical sets (the entry *is* pred_i ∧
-  // pred_j, maintained exactly). Two-attribute frontier nodes whose pair
-  // is already admitted to the memo contribute no ancestors at all:
-  // Count() will serve them off the entry without touching a parent.
+  // affected_ slots, keeping the schedule deterministic).
   std::vector<NodeId> need;
   for (NodeId m : todo) {
-    if (memo_ != nullptr && std::popcount(m) == 2) {
-      size_t i = static_cast<size_t>(std::countr_zero(m));
-      size_t j = static_cast<size_t>(std::countr_zero(m & (m - 1)));
-      if (memo_->Contains(cols_[i], bindings_[i], cols_[j], bindings_[j])) {
-        continue;
-      }
-    }
     for (NodeId p = m & (m - 1); p != 0 && !materialized(p);
          p = p & (p - 1)) {
       need.push_back(p);
@@ -353,12 +296,10 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
   // and counting it inside the parent's Phase-1 visit restores that
   // temporal locality (each child has exactly one parent, so shards still
   // write disjoint counts_ slots). Nodes that are themselves ancestors get
-  // their count from materialization, and memoized two-attribute nodes
-  // keep routing through Count(), so neither joins a kids bucket.
+  // their count from materialization, so they join no kids bucket.
   std::unordered_map<NodeId, std::vector<NodeId>> kids;
   for (NodeId m : todo) {
     if (counts_[m] != kNoCount) continue;
-    if (memo_ != nullptr && std::popcount(m) == 2) continue;
     if (std::binary_search(need.begin(), need.end(), m)) continue;
     kids[m & (m - 1)].push_back(m);
   }
@@ -383,17 +324,13 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
     // a cold copy per node; that order is only worth it when there are
     // workers to shard a level across.
     for (NodeId m : need) {
-      if (memo_ != nullptr && std::popcount(m) == 2) {
-        MaterializeBitmap(m);  // Memo-aware; does its own bookkeeping.
-      } else {
-        size_t count = affected_[m].AssignAnd(
-            affected_[m & (m - 1)],
-            preds_[static_cast<size_t>(std::countr_zero(m))]);
-        if (counts_[m] == kNoCount) counts_[m] = count;
-        if (compressed_) affected_[m].Compact(count);
-        MarkCached(m);
-        ++nodes_materialized_;
-      }
+      size_t count = affected_[m].AssignAnd(
+          affected_[m & (m - 1)],
+          preds_[static_cast<size_t>(std::countr_zero(m))]);
+      if (counts_[m] == kNoCount) counts_[m] = count;
+      if (compressed_) affected_[m].Compact(count);
+      MarkCached(m);
+      ++nodes_materialized_;
       // Fuse the node's pending children while its bitmap is hot.
       fused_count_calls_ += fuse_kids(m);
     }
@@ -402,16 +339,8 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
     for (NodeId m : need) {
       by_level[static_cast<size_t>(std::popcount(m))].push_back(m);
     }
-    for (size_t lvl = 0; lvl < by_level.size(); ++lvl) {
-      const std::vector<NodeId>& level = by_level[lvl];
+    for (const std::vector<NodeId>& level : by_level) {
       if (level.empty()) continue;
-      if (lvl == 2 && memo_ != nullptr) {
-        for (NodeId m : level) {
-          MaterializeBitmap(m);
-          fused_count_calls_ += fuse_kids(m);
-        }
-        continue;  // MaterializeBitmap did the caching bookkeeping.
-      }
       auto body = [&](size_t b, size_t e) {
         for (size_t i = b; i < e; ++i) {
           NodeId m = level[i];
@@ -443,22 +372,15 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
   }
 
   // Phase 2: the residual — todo nodes whose parent was already resident
-  // when the call began (so no Phase-1 visit fused them) plus memoized
-  // two-attribute nodes, which route through Count(): that is the
-  // memo-aware path (single-threaded state, at most C(k,2) nodes).
-  // Everything else is a pure fused AndCount off a resident parent,
-  // eligible for sharding under the same cost model; shards write
-  // disjoint counts_ slots and only read parent and predicate bitmaps,
-  // so results are bit-identical to the serial path.
+  // when the call began (so no Phase-1 visit fused them). Each is a pure
+  // fused AndCount off a resident parent, eligible for sharding under the
+  // same cost model; shards write disjoint counts_ slots and only read
+  // parent and predicate bitmaps, so results are bit-identical to the
+  // serial path.
   std::vector<NodeId> fuse;
   fuse.reserve(todo.size());
   for (NodeId m : todo) {
-    if (counts_[m] != kNoCount) continue;
-    if (memo_ != nullptr && std::popcount(m) == 2) {
-      Count(m);  // Serves or seeds the pairwise memo; own bookkeeping.
-    } else {
-      fuse.push_back(m);
-    }
+    if (counts_[m] == kNoCount) fuse.push_back(m);
   }
   if (!fuse.empty()) {
     size_t fused = 0;
@@ -539,12 +461,6 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
     index_->ApplyDelta(
         repair_.col, changed,
         [&](size_t r) { return table.cell(r, repair_.col); }, target_value_);
-  }
-  // Patch the cross-lattice intersection memo the same way (it needs no
-  // old values — changed rows leave every (repair col = v≠a') predicate
-  // exactly, and entries bound to a' itself are dropped).
-  if (memo_ != nullptr) {
-    memo_->ApplyWrite(repair_.col, changed, target_value_);
   }
   if (fault != nullptr && FaultInjector::Global().active()) {
     bool stopped = false;
@@ -652,49 +568,6 @@ void Lattice::RecomputeAffected(const Table& table) {
     EagerChain();
     for (NodeId m = 0; m < n_nodes; ++m) {
       counts_[m] = affected_[m].Count();
-    }
-  }
-  closed_sets_fresh_ = false;
-  rep_cache_.clear();
-}
-
-void Lattice::ApplyAppend(const Table& table) {
-  size_t old_rows = num_table_rows_;
-  size_t new_rows = table.num_rows();
-  FALCON_CHECK(new_rows >= old_rows);
-  if (new_rows == old_rows) return;
-  // Capture which cached nodes hold bitmaps *before* the universe moves —
-  // materialized() compares each bitmap's universe to num_table_rows_.
-  std::vector<NodeId> with_bitmap;
-  with_bitmap.reserve(cached_nodes_.size());
-  for (NodeId m : cached_nodes_) {
-    if (materialized(m)) with_bitmap.push_back(m);
-  }
-  for (NodeId m : with_bitmap) affected_[m].Resize(new_rows);
-  for (HybridRowSet& p : preds_) p.Resize(new_rows);
-  num_table_rows_ = new_rows;
-
-  const size_t k = cols_.size();
-  for (size_t r = old_rows; r < new_rows; ++r) {
-    // Predicate-satisfaction mask of the new row over the lattice attrs.
-    NodeId pm = 0;
-    for (size_t i = 0; i < k; ++i) {
-      if (table.cell(r, cols_[i]) == bindings_[i]) {
-        preds_[i].Set(r);
-        pm |= NodeId{1} << i;
-      }
-    }
-    // Rows already holding the target value are in no affected set (they
-    // are outside the bottom node).
-    if (table.cell(r, repair_.col) == target_value_) continue;
-    // Fold the row into every cached node whose WHERE conjunction it
-    // satisfies: node m matches iff every attr of m is satisfied. The
-    // bottom (m = 0) matches vacuously. Bitmaps get the bit; count-only
-    // nodes get the exact closed-form increment.
-    for (NodeId m : cached_nodes_) {
-      if ((pm & m) != m) continue;
-      if (affected_[m].universe_size() == new_rows) affected_[m].Set(r);
-      if (counts_[m] != kNoCount) ++counts_[m];
     }
   }
   closed_sets_fresh_ = false;

@@ -18,14 +18,13 @@
 //
 // which recursively materializes only the ancestor chain actually needed,
 // then caches it for the lattice's lifetime. Counts use the fused
-// RowSet::AndCount kernel (no intermediate bitmap), EnsureCounts batches a
-// search frontier through ThreadPool::ParallelFor, and two-attribute nodes
-// can reuse pairwise predicate intersections memoized across successive
-// repairs in an IntersectionMemo. Applied queries incrementally maintain
-// whatever is cached (maintenance Cases 1–3 of Section 5.1.2, restricted to
-// the materialized subset); closed rule sets (Section 5.2) resolve a node's
-// representative through the predicate-closure rule without materializing
-// anything beyond the node itself.
+// RowSet::AndCount kernel (no intermediate bitmap), and EnsureCounts batches
+// a search frontier through ThreadPool::ParallelFor. Applied queries
+// incrementally maintain whatever is cached (maintenance Cases 1–3 of
+// Section 5.1.2, restricted to the materialized subset); closed rule sets
+// (Section 5.2) resolve a node's representative through the
+// predicate-closure rule without materializing anything beyond the node
+// itself.
 #ifndef FALCON_CORE_LATTICE_H_
 #define FALCON_CORE_LATTICE_H_
 
@@ -49,7 +48,6 @@ using NodeId = uint32_t;
 enum class Validity : uint8_t { kUnknown, kValid, kInvalid };
 
 class PostingIndex;
-class IntersectionMemo;
 
 /// Hard ceiling on lattice attributes: node ids are 32-bit masks and the
 /// per-node state vectors are sized 2^k, so builds beyond this are refused
@@ -83,13 +81,7 @@ struct LatticeOptions {
   /// lazy≡eager equivalence tests. Either way accessors return identical
   /// bits; only the work schedule differs.
   bool lazy = true;
-  /// Optional cross-lattice cache of pairwise predicate intersections
-  /// (non-owning; lazy mode only). ApplyNode patches it exactly on every
-  /// applied query, which requires the memo to see *all* writes to the
-  /// table it summarizes: attach one memo per mutable table (the session
-  /// does), and never share it with a lattice applied to a cloned table.
-  IntersectionMemo* memo = nullptr;
-  /// Store predicate bitmaps and memoized node sets in the
+  /// Store predicate bitmaps and materialized node sets in the
   /// density-adaptive compressed representation: each bitmap picks dense
   /// words or Roaring-style containers by its measured density
   /// (HybridRowSet::Compact), deterministically in its cardinality alone.
@@ -232,17 +224,6 @@ class Lattice {
   /// bitmaps; accesses then re-materialize against the new table contents.
   void RecomputeAffected(const Table& table);
 
-  /// Streaming-append maintenance: `table` (the table the lattice was
-  /// built over) grew by appending rows since Build; no existing cell
-  /// changed. Extends the predicate bitmaps, the bottom node, and every
-  /// cached node's bitmap/count with exactly the new rows — O(batch ×
-  /// cached nodes), never O(table). Unmaterialized nodes stay
-  /// unmaterialized and later materialize against the extended predicate
-  /// bitmaps; count-only nodes get exact closed-form increments. The
-  /// attached PostingIndex/IntersectionMemo are NOT maintained here — the
-  /// caller routes the same append through their ApplyAppend first.
-  void ApplyAppend(const Table& table);
-
   // --- Query materialization ---------------------------------------------------
 
   /// Renders node `n` as a SQLU statement.
@@ -283,9 +264,8 @@ class Lattice {
   void FinishEagerInit();
   /// Records that node m now holds cached state (bitmap and/or count).
   void MarkCached(NodeId m) const;
-  /// Materializes node m's bitmap via the ancestor-chain recurrence,
-  /// consulting the IntersectionMemo for two-attribute nodes. Also fills
-  /// counts_[m] (the bits are resident, so the count is free) and — in
+  /// Materializes node m's bitmap via the ancestor-chain recurrence. Also
+  /// fills counts_[m] (the bits are resident, so the count is free) and — in
   /// compressed mode — compacts the bitmap by its density. Done in BOTH
   /// modes so the lazy counters, and with them SessionMetrics, stay
   /// bit-identical across representations.
@@ -306,7 +286,6 @@ class Lattice {
   bool maintain_index_ = true;
   bool lazy_ = true;
   bool compressed_ = false;
-  IntersectionMemo* memo_ = nullptr;
 
   /// Per-attribute predicate bitmaps (value copies — posting references
   /// can be invalidated/evicted under the lattice). ApplyNode maintains

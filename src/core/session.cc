@@ -51,17 +51,6 @@ void CleaningSession::ExportPostingStats() {
   metrics_.posting_array_containers = storage.array_containers;
   metrics_.posting_bitmap_containers = storage.bitmap_containers;
   metrics_.posting_run_containers = storage.run_containers;
-  if (intersection_memo_ != nullptr) {
-    metrics_.lattice_memo_hits = intersection_memo_->stats().hits;
-    metrics_.lattice_memo_misses = intersection_memo_->stats().misses;
-    metrics_.lattice_memo_admitted = intersection_memo_->stats().admitted;
-    metrics_.lattice_memo_first_touch_skips =
-        intersection_memo_->stats().first_touch_skips;
-    metrics_.lattice_memo_shared_hits =
-        intersection_memo_->stats().shared_hits;
-    metrics_.lattice_memo_shared_misses =
-        intersection_memo_->stats().shared_misses;
-  }
 }
 
 Status CleaningSession::Start(bool fresh) {
@@ -152,23 +141,6 @@ Status CleaningSession::Start(bool fresh) {
   lattice_options_.compressed = options_.compressed_rowsets;
   if (options_.use_posting_index && !lattice_options_.naive_init) {
     lattice_options_.index = posting_index_.get();
-  }
-  // Cross-lattice intersection memo (lazy materialization only): owned by
-  // the session so every table write in the run flows through its exact
-  // patch hooks. A caller-supplied memo in options.lattice is respected.
-  intersection_memo_.reset();
-  if (lattice_options_.memo == nullptr && options_.use_intersection_memo &&
-      lattice_options_.lazy && !lattice_options_.naive_init) {
-    intersection_memo_ = std::make_unique<IntersectionMemo>(
-        options_.intersection_memo_budget_bytes);
-    // Share pairwise intersections with other sessions on the same base
-    // snapshot (gate on the posting index's own snapshot validation so
-    // both tiers agree on whether the cache matches this table).
-    if (posting_index_->shared_attached()) {
-      intersection_memo_->AttachShared(options_.shared_cache,
-                                       options_.compressed_rowsets);
-    }
-    lattice_options_.memo = intersection_memo_.get();
   }
 
   update_rng_ = Rng(options_.seed + 2);
@@ -311,19 +283,8 @@ Status CleaningSession::AppendBatch(
   auto m0 = std::chrono::steady_clock::now();
   if (options_.append_rebuild) {
     posting_index_->InvalidateAll();
-    if (intersection_memo_ != nullptr) {
-      // InvalidateColumn (not bare Clear) so shared-tier pairs — built for
-      // the pre-append universe — can never be served again.
-      for (size_t c = 0; c < dirty_->num_cols(); ++c) {
-        intersection_memo_->InvalidateColumn(c);
-      }
-      intersection_memo_->Clear();
-    }
   } else {
     posting_index_->ApplyAppend(old_rows);
-    if (intersection_memo_ != nullptr) {
-      intersection_memo_->ApplyAppend(*dirty_, old_rows);
-    }
   }
 
   // New rows' dirty cells join the worklist (detector-driven sessions
@@ -495,11 +456,6 @@ Status CleaningSession::RetractRule(size_t i) {
   FALCON_RETURN_IF_ERROR(Emit(&rec));
 
   FALCON_RETURN_IF_ERROR(log_.Undo(i, *dirty_, posting_index_.get()));
-  // The undo rewrote arbitrary old values into the column; the memo cannot
-  // patch additions exactly, so drop everything mentioning it.
-  if (intersection_memo_ != nullptr) {
-    intersection_memo_->InvalidateColumn(col);
-  }
 
   // Re-pose every re-dirtied cell and keep cells_repaired truthful: a
   // retraction can un-repair cells (the rule was right after all) or
@@ -718,9 +674,6 @@ StatusOr<SessionMetrics> CleaningSession::MainLoop(size_t max_episodes) {
                                        lattice.target_value());
       } else {
         posting_index_->InvalidateColumn(col);
-      }
-      if (intersection_memo_ != nullptr) {
-        intersection_memo_->ApplyCellWrite(col, row, lattice.target_value());
       }
       if (dirty_->cell(row, col) == clean_->cell(row, col)) {
         ++metrics_.cells_repaired;

@@ -66,21 +66,12 @@ struct SessionOptions {
   /// are evicted between lattice episodes so million-row tables don't
   /// hoard memory.
   size_t posting_budget_bytes = 0;
-  /// Store postings, memoized intersections, and lattice bitmaps in the
-  /// density-adaptive compressed representation (Roaring-style containers
-  /// with exact byte accounting). Bit-identical questions/answers/metrics/
-  /// final tables to dense mode — only resident bytes change, so far more
-  /// of the posting universe fits in posting_budget_bytes. Off restores
-  /// the all-dense A/B baseline.
+  /// Store postings and lattice bitmaps in the density-adaptive compressed
+  /// representation (Roaring-style containers with exact byte accounting).
+  /// Bit-identical questions/answers/metrics/final tables to dense mode —
+  /// only resident bytes change, so far more of the posting universe fits
+  /// in posting_budget_bytes. Off restores the all-dense A/B baseline.
   bool compressed_rowsets = true;
-  /// Memoize pairwise predicate intersections across the session's
-  /// lattices (lazy materialization only): successive repairs rebuild
-  /// lattices over recurring predicate pairs, and the memo turns their
-  /// two-attribute views into one cached AND. Patched exactly on every
-  /// applied rule and manual fix; invalidated on retraction.
-  bool use_intersection_memo = true;
-  /// Intersection-memo byte cap (0 = unbounded), LRU-enforced at insert.
-  size_t intersection_memo_budget_bytes = 8u << 20;
   /// Remember validated/invalidated rule shapes across updates and bias
   /// CoDive toward historically fruitful attribute sets (the paper's §8
   /// future-work direction). Off by default to match the paper's setup.
@@ -115,19 +106,18 @@ struct SessionOptions {
   /// Process-wide read cache over the base snapshot this session's dirty
   /// table was cloned from (non-owning; must outlive the session). Only
   /// attached when its snapshot id equals base_snapshot_id — the posting
-  /// index and intersection memo then probe the shared tier for columns
-  /// this session has not mutated. Pure acceleration: questions, answers,
-  /// repairs, and the final table are bit-identical with or without it
-  /// (only timing and hit/materialization counters change).
+  /// index then probes the shared tier for columns this session has not
+  /// mutated. Pure acceleration: questions, answers, repairs, and the final
+  /// table are bit-identical with or without it (only timing and
+  /// hit/materialization counters change).
   SharedBaseCache* shared_cache = nullptr;
   /// CleaningWorkload::snapshot_id of the base (0 = never attach).
   uint64_t base_snapshot_id = 0;
   /// A/B strawman for AppendBatch: instead of O(batch) incremental
-  /// maintenance (posting Resize+fold, memo extension), drop every cached
-  /// posting bitmap and memoized intersection so the next lattice rebuilds
-  /// them from full table scans. Identical questions/answers/repairs —
-  /// only timing changes. This is the "rebuild" leg of the Fig. 8
-  /// append-vs-rebuild comparison.
+  /// maintenance (posting Resize+fold), drop every cached posting bitmap
+  /// so the next lattice rebuilds them from full table scans. Identical
+  /// questions/answers/repairs — only timing changes. This is the
+  /// "rebuild" leg of the Fig. 8 append-vs-rebuild comparison.
   bool append_rebuild = false;
 };
 
@@ -177,20 +167,20 @@ struct SessionMetrics {
   size_t nodes_materialized = 0;   ///< Node bitmaps actually computed.
   size_t nodes_total = 0;          ///< Σ 2^k across built lattices.
   size_t fused_count_calls = 0;    ///< Counts served by AndCount alone.
-  size_t lattice_memo_hits = 0;    ///< IntersectionMemo private-tier hits.
-  size_t lattice_memo_misses = 0;  ///< IntersectionMemo probes that missed.
-  size_t lattice_memo_admitted = 0;     ///< Pairs admitted (second touch).
-  size_t lattice_memo_first_touch_skips = 0;  ///< Puts deferred to probation.
-  size_t lattice_memo_shared_hits = 0;    ///< Memo Finds served shared.
-  size_t lattice_memo_shared_misses = 0;  ///< Eligible Finds that missed.
+  // Always 0: the lattice no longer memoizes pairwise intersections across
+  // lattices. Kept only because the perfbench program still reads them.
+  size_t lattice_memo_hits = 0;
+  size_t lattice_memo_misses = 0;
+  size_t lattice_memo_admitted = 0;
+  size_t lattice_memo_shared_hits = 0;
 
   // Streaming append (AppendBatch) over the run.
   size_t rows_appended = 0;        ///< Rows added after Start().
   size_t append_batches = 0;       ///< AppendBatch calls that added rows.
-  /// Time spent extending cached state (posting bitmaps, memoized
-  /// intersections, worklist diff) for appended rows — the cost the
-  /// incremental path keeps at O(batch) and append_rebuild re-pays as
-  /// full-table scans inside the next lattice build instead.
+  /// Time spent extending cached state (posting bitmaps, worklist diff)
+  /// for appended rows — the cost the incremental path keeps at O(batch)
+  /// and append_rebuild re-pays as full-table scans inside the next
+  /// lattice build instead.
   double append_maintain_ms = 0.0;
   /// rows_appended / total wall-clock seconds inside AppendBatch.
   double ingest_rows_per_s = 0.0;
@@ -221,17 +211,6 @@ struct SessionMetrics {
   double PostingSharedHitRate() const {
     return Rate(posting_shared_hits,
                 posting_shared_hits + posting_shared_misses);
-  }
-  /// All memo Finds served from some tier.
-  double MemoHitRate() const {
-    return Rate(lattice_memo_hits + lattice_memo_shared_hits,
-                lattice_memo_hits + lattice_memo_misses +
-                    lattice_memo_shared_hits);
-  }
-  /// Shared-tier-eligible memo Finds that hit the shared tier.
-  double MemoSharedHitRate() const {
-    return Rate(lattice_memo_shared_hits,
-                lattice_memo_shared_hits + lattice_memo_shared_misses);
   }
 };
 
@@ -297,14 +276,14 @@ class CleaningSession {
   /// clean.num_rows == dirty.num_rows + batch.
   ///
   /// All session state is maintained in O(batch), not O(table): posting
-  /// bitmaps and memoized intersections grow their universes and fold in
-  /// only the new rows (PostingIndex::ApplyAppend/IntersectionMemo::
-  /// ApplyAppend), and the worklist gains exactly the new rows' dirty
-  /// cells. Under options.append_rebuild the cached state is dropped
-  /// instead (the Fig. 8 rebuild strawman). The safety valve re-arms for
-  /// the grown error count. Call between episodes (after Run/RunSteps
-  /// returned); FailedPrecondition before Start, during journaled runs, or
-  /// during replay — appends are outside the crash-safety envelope.
+  /// bitmaps grow their universes and fold in only the new rows
+  /// (PostingIndex::ApplyAppend), and the worklist gains exactly the new
+  /// rows' dirty cells. Under options.append_rebuild the cached state is
+  /// dropped instead (the Fig. 8 rebuild strawman). The safety valve
+  /// re-arms for the grown error count. Call between episodes (after
+  /// Run/RunSteps returned); FailedPrecondition before Start, during
+  /// journaled runs, or during replay — appends are outside the
+  /// crash-safety envelope.
   Status AppendBatch(const std::vector<std::vector<ValueId>>& dirty_chunk);
 
   /// True once the main loop ran to its natural end (converged, detector
@@ -383,7 +362,6 @@ class CleaningSession {
   class MasterBackedOracle* master_oracle_ = nullptr;
   std::unique_ptr<CordsProfiler> profiler_;
   std::unique_ptr<PostingIndex> posting_index_;
-  std::unique_ptr<IntersectionMemo> intersection_memo_;
   LatticeOptions lattice_options_;
   Rng update_rng_{0};
   std::unordered_set<uint64_t> wrong_updated_;

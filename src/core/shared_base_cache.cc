@@ -9,19 +9,7 @@ SharedBaseCache::SharedBaseCache(uint64_t snapshot_id, size_t num_cols,
     : snapshot_id_(snapshot_id),
       num_cols_(num_cols),
       byte_budget_(byte_budget),
-      posting_shards_(2 * num_cols),
-      pair_shards_(2 * kPairShards) {}
-
-SharedBaseCache::PairKey SharedBaseCache::MakePairKey(size_t col_a,
-                                                      ValueId val_a,
-                                                      size_t col_b,
-                                                      ValueId val_b) {
-  if (col_b < col_a || (col_b == col_a && val_b < val_a)) {
-    std::swap(col_a, col_b);
-    std::swap(val_a, val_b);
-  }
-  return PairKey{col_a, val_a, col_b, val_b};
-}
+      posting_shards_(2 * num_cols) {}
 
 SharedBaseCache::EntryPtr SharedBaseCache::FindPosting(bool compressed,
                                                        size_t col,
@@ -38,36 +26,10 @@ SharedBaseCache::EntryPtr SharedBaseCache::FindPosting(bool compressed,
   return nullptr;
 }
 
-SharedBaseCache::EntryPtr SharedBaseCache::FindIntersection(
-    bool compressed, size_t col_a, ValueId val_a, size_t col_b,
-    ValueId val_b) {
-  PairKey key = MakePairKey(col_a, val_a, col_b, val_b);
-  auto map = PairShard(compressed, key).Snapshot();
-  if (map != nullptr) {
-    auto it = map->find(key);
-    if (it != map->end()) {
-      intersection_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  intersection_misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-bool SharedBaseCache::ContainsIntersection(bool compressed, size_t col_a,
-                                           ValueId val_a, size_t col_b,
-                                           ValueId val_b) const {
-  PairKey key = MakePairKey(col_a, val_a, col_b, val_b);
-  size_t h = PairKeyHash{}(key) % kPairShards;
-  const auto& shard = pair_shards_[(compressed ? kPairShards : 0) + h];
-  auto map = shard.Snapshot();
-  return map != nullptr && map->count(key) != 0;
-}
-
-template <typename Map, typename K>
-SharedBaseCache::EntryPtr SharedBaseCache::Publish(
-    Shard<Map>& shard, const K& key, HybridRowSet rows,
-    uint64_t epoch_at_scan, std::atomic<size_t>& publishes) {
+SharedBaseCache::EntryPtr SharedBaseCache::PublishPosting(
+    bool compressed, size_t col, ValueId value, HybridRowSet rows,
+    uint64_t epoch_at_scan) {
+  Shard& shard = PostingShard(compressed, col);
   const size_t add = EntryBytes(rows);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   // Reject work computed against a retired generation: the producer read
@@ -77,9 +39,9 @@ SharedBaseCache::EntryPtr SharedBaseCache::Publish(
     rejected_publishes_.fetch_add(1, std::memory_order_relaxed);
     return std::make_shared<const HybridRowSet>(std::move(rows));
   }
-  const std::shared_ptr<const Map>& cur = shard.map;
+  const std::shared_ptr<const PostingMap>& cur = shard.map;
   if (cur != nullptr) {
-    auto it = cur->find(key);
+    auto it = cur->find(value);
     if (it != cur->end()) return it->second;  // First publisher won the race.
   }
   if (byte_budget_ != 0 &&
@@ -88,29 +50,14 @@ SharedBaseCache::EntryPtr SharedBaseCache::Publish(
     return std::make_shared<const HybridRowSet>(std::move(rows));
   }
   auto entry = std::make_shared<const HybridRowSet>(std::move(rows));
-  auto next = cur != nullptr ? std::make_shared<Map>(*cur)
-                             : std::make_shared<Map>();
-  (*next)[key] = entry;
+  auto next = cur != nullptr ? std::make_shared<PostingMap>(*cur)
+                             : std::make_shared<PostingMap>();
+  (*next)[value] = entry;
   shard.map = std::move(next);
   resident_bytes_.fetch_add(add, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
-  publishes.fetch_add(1, std::memory_order_relaxed);
+  posting_publishes_.fetch_add(1, std::memory_order_relaxed);
   return entry;
-}
-
-SharedBaseCache::EntryPtr SharedBaseCache::PublishPosting(
-    bool compressed, size_t col, ValueId value, HybridRowSet rows,
-    uint64_t epoch_at_scan) {
-  return Publish(PostingShard(compressed, col), value, std::move(rows),
-                 epoch_at_scan, posting_publishes_);
-}
-
-SharedBaseCache::EntryPtr SharedBaseCache::PublishIntersection(
-    bool compressed, size_t col_a, ValueId val_a, size_t col_b, ValueId val_b,
-    HybridRowSet rows, uint64_t epoch_at_scan) {
-  PairKey key = MakePairKey(col_a, val_a, col_b, val_b);
-  return Publish(PairShard(compressed, key), key, std::move(rows),
-                 epoch_at_scan, intersection_publishes_);
 }
 
 void SharedBaseCache::Invalidate() {
@@ -119,10 +66,6 @@ void SharedBaseCache::Invalidate() {
   epoch_.fetch_add(1, std::memory_order_acq_rel);
   invalidations_.fetch_add(1, std::memory_order_relaxed);
   for (auto& shard : posting_shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    shard.map.reset();
-  }
-  for (auto& shard : pair_shards_) {
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     shard.map.reset();
   }
@@ -135,11 +78,6 @@ SharedBaseCacheStats SharedBaseCache::Stats() const {
   s.posting_hits = posting_hits_.load(std::memory_order_relaxed);
   s.posting_misses = posting_misses_.load(std::memory_order_relaxed);
   s.posting_publishes = posting_publishes_.load(std::memory_order_relaxed);
-  s.intersection_hits = intersection_hits_.load(std::memory_order_relaxed);
-  s.intersection_misses =
-      intersection_misses_.load(std::memory_order_relaxed);
-  s.intersection_publishes =
-      intersection_publishes_.load(std::memory_order_relaxed);
   s.rejected_publishes = rejected_publishes_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
   s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);

@@ -1,9 +1,9 @@
-// SharedBaseCache: process-wide, read-mostly cache of posting bitmaps and
-// pairwise predicate intersections computed over one immutable base
-// snapshot (a CleaningWorkload's dirty instance). N service sessions
-// cleaning the same base all probe this tier first and only materialize
-// privately for columns they have mutated, so the posting/index build cost
-// of a workload is paid once per process instead of once per session.
+// SharedBaseCache: process-wide, read-mostly cache of posting bitmaps
+// computed over one immutable base snapshot (a CleaningWorkload's dirty
+// instance). N service sessions cleaning the same base all probe this tier
+// first and only materialize privately for columns they have mutated, so
+// the posting/index build cost of a workload is paid once per process
+// instead of once per session.
 //
 // Keying & correctness
 //   - The cache is keyed on the base's snapshot generation id
@@ -17,8 +17,7 @@
 //     aliasing from the hot path entirely).
 //   - Published bitmaps are *base-pure*: producers only publish postings
 //     scanned from columns they have not mutated (content equal to the
-//     base), and intersections of two such predicates. Session-private
-//     deltas never reach this tier.
+//     base). Session-private deltas never reach this tier.
 //
 // Publication protocol (copy-on-publish, copy-on-invalidate)
 //   - Each shard holds an immutable map snapshot behind a shared_mutex.
@@ -65,9 +64,6 @@ struct SharedBaseCacheStats {
   size_t posting_hits = 0;
   size_t posting_misses = 0;
   size_t posting_publishes = 0;
-  size_t intersection_hits = 0;
-  size_t intersection_misses = 0;
-  size_t intersection_publishes = 0;
   /// Publishes dropped: byte budget exceeded or stale epoch.
   size_t rejected_publishes = 0;
   size_t invalidations = 0;  ///< Epoch bumps.
@@ -93,7 +89,7 @@ class SharedBaseCache {
   size_t byte_budget() const { return byte_budget_; }
 
   /// Current publication epoch. Producers read it *before* computing a
-  /// bitmap and pass it to Publish* so stale work is rejected.
+  /// bitmap and pass it to PublishPosting so stale work is rejected.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Lock-free probe for the base posting (col = value) in the given
@@ -109,20 +105,6 @@ class SharedBaseCache {
   EntryPtr PublishPosting(bool compressed, size_t col, ValueId value,
                           HybridRowSet rows, uint64_t epoch_at_scan);
 
-  /// Probe / publish for the pairwise intersection
-  /// (col_a = val_a) ∧ (col_b = val_b). The pair is canonicalized
-  /// internally; callers may pass the predicates in either order.
-  EntryPtr FindIntersection(bool compressed, size_t col_a, ValueId val_a,
-                            size_t col_b, ValueId val_b);
-  EntryPtr PublishIntersection(bool compressed, size_t col_a, ValueId val_a,
-                               size_t col_b, ValueId val_b, HybridRowSet rows,
-                               uint64_t epoch_at_scan);
-
-  /// Stat-free residency check for a pair (lattice batch-scheduling
-  /// probes; no hit/miss accounting, no side effects).
-  bool ContainsIntersection(bool compressed, size_t col_a, ValueId val_a,
-                            size_t col_b, ValueId val_b) const;
-
   /// Retires the current generation: bumps the epoch and publishes empty
   /// maps. In-flight readers keep their pins; in-flight publishers get
   /// rejected by the epoch check.
@@ -136,86 +118,42 @@ class SharedBaseCache {
   SharedBaseCacheStats Stats() const;
 
  private:
-  /// Canonically ordered predicate pair (mirrors IntersectionMemo's
-  /// ordering so both tiers agree on what "the" key for a pair is).
-  struct PairKey {
-    size_t col_a;
-    ValueId val_a;
-    size_t col_b;
-    ValueId val_b;
-    bool operator==(const PairKey&) const = default;
-  };
-  struct PairKeyHash {
-    size_t operator()(const PairKey& k) const {
-      uint64_t h = 1469598103934665603ull;
-      for (uint64_t part : {static_cast<uint64_t>(k.col_a),
-                            static_cast<uint64_t>(k.val_a),
-                            static_cast<uint64_t>(k.col_b),
-                            static_cast<uint64_t>(k.val_b)}) {
-        h ^= part;
-        h *= 1099511628211ull;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
   using PostingMap = std::unordered_map<ValueId, EntryPtr>;
-  using PairMap = std::unordered_map<PairKey, EntryPtr, PairKeyHash>;
 
   /// One independently-published map snapshot. Readers hold `mu` shared
   /// just long enough to copy `map`; writers hold it exclusive across
   /// copy-insert-swing. The pointed-to map itself is never mutated.
-  template <typename Map>
   struct Shard {
     mutable std::shared_mutex mu;
-    std::shared_ptr<const Map> map;
+    std::shared_ptr<const PostingMap> map;
 
-    std::shared_ptr<const Map> Snapshot() const {
+    std::shared_ptr<const PostingMap> Snapshot() const {
       std::shared_lock<std::shared_mutex> lock(mu);
       return map;
     }
   };
 
-  static PairKey MakePairKey(size_t col_a, ValueId val_a, size_t col_b,
-                             ValueId val_b);
   /// Flat per-entry charge covering map node + shared_ptr control block.
   static size_t EntryBytes(const HybridRowSet& rows) {
     return rows.HeapBytes() + 96;
   }
 
-  Shard<PostingMap>& PostingShard(bool compressed, size_t col) {
+  Shard& PostingShard(bool compressed, size_t col) {
     return posting_shards_[(compressed ? num_cols_ : 0) + col];
   }
-  Shard<PairMap>& PairShard(bool compressed, const PairKey& key) {
-    size_t h = PairKeyHash{}(key) % kPairShards;
-    return pair_shards_[(compressed ? kPairShards : 0) + h];
-  }
-
-  /// Shared publish body: returns the resident or wrapped entry. `Insert`
-  /// is called with the shard's write mutex held and the current map;
-  /// it returns the existing entry for `key` or null.
-  template <typename Map, typename K>
-  EntryPtr Publish(Shard<Map>& shard, const K& key, HybridRowSet rows,
-                   uint64_t epoch_at_scan, std::atomic<size_t>& publishes);
-
-  static constexpr size_t kPairShards = 16;
 
   const uint64_t snapshot_id_;
   const size_t num_cols_;
   const size_t byte_budget_;
 
   std::atomic<uint64_t> epoch_{1};
-  std::vector<Shard<PostingMap>> posting_shards_;  ///< 2 planes × num_cols.
-  std::vector<Shard<PairMap>> pair_shards_;        ///< 2 planes × kPairShards.
+  std::vector<Shard> posting_shards_;  ///< 2 planes × num_cols.
 
   std::atomic<size_t> resident_bytes_{0};
   std::atomic<size_t> entries_{0};
   std::atomic<size_t> posting_hits_{0};
   std::atomic<size_t> posting_misses_{0};
   std::atomic<size_t> posting_publishes_{0};
-  std::atomic<size_t> intersection_hits_{0};
-  std::atomic<size_t> intersection_misses_{0};
-  std::atomic<size_t> intersection_publishes_{0};
   std::atomic<size_t> rejected_publishes_{0};
   std::atomic<size_t> invalidations_{0};
 };

@@ -1,34 +1,60 @@
 #include "datagen/workload.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "datagen/datasets.h"
 #include "errorgen/injector.h"
 
 namespace falcon {
+namespace {
+
+/// Largest table a scaled workload may ask for: the 10M-row Fig. 8 sweep
+/// is the biggest this repository builds.
+constexpr size_t kMaxWorkloadRows = 10'000'000;
+
+}  // namespace
 
 StatusOr<CleaningWorkload> MakeCleaningWorkload(const std::string& name,
                                                 double scale) {
-  auto rows = [scale](size_t base) {
-    size_t n = static_cast<size_t>(static_cast<double>(base) * scale);
-    return n < 500 ? 500 : n;
+  // `scale` arrives unchecked from open_session requests and journal
+  // metadata; casting a negative, huge or non-finite product to size_t is
+  // undefined, so reject those before any cast.
+  if (!std::isfinite(scale) || scale <= 0.0) {
+    return Status::InvalidArgument("workload scale must be finite and > 0");
+  }
+  auto rows = [scale](size_t base) -> StatusOr<size_t> {
+    double n = static_cast<double>(base) * scale;
+    if (n > static_cast<double>(kMaxWorkloadRows)) {
+      return Status::InvalidArgument(
+          "workload scale asks for more than " +
+          std::to_string(kMaxWorkloadRows) + " rows");
+    }
+    return std::max<size_t>(500, static_cast<size_t>(n));
   };
 
   StatusOr<Dataset> ds = Status::InvalidArgument("unknown dataset " + name);
   if (name == "Soccer") {
     ds = MakeSoccer();
   } else if (name == "Hospital") {
-    ds = MakeHospital(rows(10000));
+    FALCON_ASSIGN_OR_RETURN(size_t n, rows(10000));
+    ds = MakeHospital(n);
   } else if (name == "Synth10k") {
-    ds = MakeSynth(rows(10000));
+    FALCON_ASSIGN_OR_RETURN(size_t n, rows(10000));
+    ds = MakeSynth(n);
   } else if (name == "Synth1M") {
     // Paper: 1M tuples. Default harness scale runs 50k; --scale grows it.
-    ds = MakeSynth(rows(50000), /*seed=*/29);
+    FALCON_ASSIGN_OR_RETURN(size_t n, rows(50000));
+    ds = MakeSynth(n, /*seed=*/29);
   } else if (name == "DBLP") {
-    ds = MakeDblp(rows(20000));
+    FALCON_ASSIGN_OR_RETURN(size_t n, rows(20000));
+    ds = MakeDblp(n);
   } else if (name == "BUS") {
-    ds = MakeBus(rows(12000));
+    FALCON_ASSIGN_OR_RETURN(size_t n, rows(12000));
+    ds = MakeBus(n);
   }
   FALCON_RETURN_IF_ERROR(ds.status());
 

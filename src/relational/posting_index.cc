@@ -340,273 +340,4 @@ void PostingIndex::Trim() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// IntersectionMemo
-// ---------------------------------------------------------------------------
-
-IntersectionMemo::PairKey IntersectionMemo::MakeKey(size_t col_a,
-                                                    ValueId val_a,
-                                                    size_t col_b,
-                                                    ValueId val_b) {
-  if (col_b < col_a || (col_b == col_a && val_b < val_a)) {
-    std::swap(col_a, col_b);
-    std::swap(val_a, val_b);
-  }
-  return PairKey{col_a, val_a, col_b, val_b};
-}
-
-size_t IntersectionMemo::EntryBytes(const HybridRowSet& rows) {
-  // Measured bitmap bytes dominate; map/list/key bookkeeping is charged
-  // flat so the budget still bites on tiny tables.
-  return rows.HeapBytes() + 96;
-}
-
-const HybridRowSet* IntersectionMemo::Find(size_t col_a, ValueId val_a,
-                                           size_t col_b, ValueId val_b) {
-  if (SharedEligible(col_a, col_b)) {
-    if (SharedBaseCache::EntryPtr p = shared_->FindIntersection(
-            shared_compressed_, col_a, val_a, col_b, val_b)) {
-      ++stats_.shared_hits;
-      // The pin keeps the entry alive for the caller across invalidation;
-      // Find's contract (valid until the next mutating call) holds.
-      shared_pin_ = std::move(p);
-      return shared_pin_.get();
-    }
-    ++stats_.shared_misses;
-  }
-  auto it = map_.find(MakeKey(col_a, val_a, col_b, val_b));
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // Touch.
-  return &it->second.rows;
-}
-
-bool IntersectionMemo::Contains(size_t col_a, ValueId val_a, size_t col_b,
-                                ValueId val_b) const {
-  if (SharedEligible(col_a, col_b) &&
-      shared_->ContainsIntersection(shared_compressed_, col_a, val_a, col_b,
-                                    val_b)) {
-    return true;
-  }
-  return map_.count(MakeKey(col_a, val_a, col_b, val_b)) != 0;
-}
-
-bool IntersectionMemo::TouchProbation(const PairKey& key) {
-  auto it = probation_.find(key);
-  if (it != probation_.end()) {
-    // Recurred — admission earned. Leave the FIFO entry stale; eviction
-    // skips keys no longer in the set.
-    probation_.erase(it);
-    return true;
-  }
-  probation_.insert(key);
-  probation_fifo_.push_back(key);
-  while (probation_.size() > kProbationMax && !probation_fifo_.empty()) {
-    probation_.erase(probation_fifo_.front());
-    probation_fifo_.pop_front();
-  }
-  // Compact stale FIFO entries (keys promoted out of probation) once the
-  // queue outgrows the set by 2x, keeping the deque bounded too.
-  if (probation_fifo_.size() > 2 * kProbationMax) {
-    std::deque<PairKey> live;
-    for (const PairKey& k : probation_fifo_) {
-      if (probation_.count(k)) live.push_back(k);
-    }
-    probation_fifo_ = std::move(live);
-  }
-  return false;
-}
-
-bool IntersectionMemo::RecordTouch(size_t col_a, ValueId val_a, size_t col_b,
-                                   ValueId val_b) {
-  PairKey key = MakeKey(col_a, val_a, col_b, val_b);
-  // Resident in the shared tier: a Find will hit, so materializing once
-  // is worth it for the same reason a probationed pair is.
-  if (SharedEligible(col_a, col_b) &&
-      shared_->ContainsIntersection(shared_compressed_, col_a, val_a, col_b,
-                                    val_b)) {
-    return true;
-  }
-  if (map_.count(key)) return true;  // Already resident: a Put refreshes.
-  // A positive touch stays on probation until the Put consumes it —
-  // RecordTouch callers materialize and Put right after.
-  if (probation_.count(key)) return true;
-  TouchProbation(key);
-  return false;
-}
-
-void IntersectionMemo::Put(size_t col_a, ValueId val_a, size_t col_b,
-                           ValueId val_b, HybridRowSet rows) {
-  PairKey key = MakeKey(col_a, val_a, col_b, val_b);
-  if (SharedEligible(col_a, col_b)) {
-    // Both predicates are base-pure, so the intersection is too: admitted
-    // pairs go to the process-wide tier (stored once, served to every
-    // session on this snapshot) instead of the private map. The same
-    // second-touch probation gates admission; a budget-rejected publish
-    // simply recurs here on the pair's next admission.
-    if (shared_->ContainsIntersection(shared_compressed_, col_a, val_a,
-                                      col_b, val_b)) {
-      return;  // Already resident (this session or a peer published it).
-    }
-    if (!TouchProbation(key)) {
-      ++stats_.first_touch_skips;
-      return;
-    }
-    ++stats_.admitted;
-    ++stats_.shared_publishes;
-    shared_->PublishIntersection(shared_compressed_, col_a, val_a, col_b,
-                                 val_b, std::move(rows), shared_->epoch());
-    return;
-  }
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    // Refresh in place (same predicates, possibly newer table state).
-    bytes_ -= it->second.bytes;
-    it->second.rows = std::move(rows);
-    it->second.bytes = EntryBytes(it->second.rows);
-    bytes_ += it->second.bytes;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return;
-  }
-  // Second-touch admission: the first offer of a pair only records it on
-  // probation — the bitmap is discarded, so one-shot pairs never consume
-  // budget or evict recurring entries.
-  if (!TouchProbation(key)) {
-    ++stats_.first_touch_skips;
-    return;
-  }
-  ++stats_.admitted;
-  lru_.push_front(key);
-  MemoEntry& e = map_[key];
-  e.rows = std::move(rows);
-  e.lru_it = lru_.begin();
-  e.bytes = EntryBytes(e.rows);
-  bytes_ += e.bytes;
-  col_keys_[key.col_a].push_back(key);
-  if (key.col_b != key.col_a) col_keys_[key.col_b].push_back(key);
-  // Enforce the budget now — callers copy entries out immediately, so no
-  // reference outlives this call. The newest entry survives even when it
-  // alone exceeds the budget (no point thrashing an empty cache).
-  if (byte_budget_ != 0) {
-    while (bytes_ > byte_budget_ && lru_.size() > 1) {
-      Erase(map_.find(lru_.back()));
-      ++stats_.evictions;
-    }
-  }
-}
-
-void IntersectionMemo::Erase(MemoMap::iterator it) {
-  bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  map_.erase(it);  // col_keys_ is compacted lazily on the next write walk.
-}
-
-bool IntersectionMemo::PatchEntry(MemoMap::iterator it, size_t col,
-                                  const RowSet* changed, size_t row,
-                                  ValueId new_value) {
-  const PairKey& key = it->first;
-  // A write *onto* an entry's own bound value may add rows to the
-  // predicate; the memo cannot reconstruct which of them also satisfy the
-  // other predicate, so the entry is dropped.
-  if ((key.col_a == col && key.val_a == new_value) ||
-      (key.col_b == col && key.val_b == new_value)) {
-    Erase(it);
-    return false;
-  }
-  // Every changed row now fails (col = value≠new_value): remove exactly.
-  if (changed != nullptr) {
-    it->second.rows.AndNot(*changed);
-  } else {
-    it->second.rows.Clear(row);
-  }
-  // The patch may have shrunk (or re-encoded) the stored bitmap.
-  bytes_ -= it->second.bytes;
-  it->second.bytes = EntryBytes(it->second.rows);
-  bytes_ += it->second.bytes;
-  return true;
-}
-
-template <typename Fn>
-void IntersectionMemo::ForEachEntryOfColumn(size_t col, Fn&& fn) {
-  auto keys_it = col_keys_.find(col);
-  if (keys_it == col_keys_.end()) return;
-  std::vector<PairKey>& keys = keys_it->second;
-  size_t kept = 0;
-  for (PairKey& key : keys) {
-    auto it = map_.find(key);
-    if (it == map_.end()) continue;  // Evicted; compact away.
-    if (fn(it)) keys[kept++] = key;  // fn returns false if it erased.
-  }
-  keys.resize(kept);
-  if (keys.empty()) col_keys_.erase(keys_it);
-}
-
-void IntersectionMemo::ApplyWrite(size_t col, const RowSet& changed,
-                                  ValueId new_value) {
-  // The column leaves the shared tier permanently: its base-pure pairs no
-  // longer describe this session's table. They are not patchable (the
-  // shared entries are immutable and other sessions still need them), so
-  // affected pairs fall back to recomputation and private admission —
-  // bit-identical results, recomputed instead of patched.
-  if (shared_ != nullptr) dirty_cols_.insert(col);
-  ForEachEntryOfColumn(col, [&](MemoMap::iterator it) {
-    return PatchEntry(it, col, &changed, 0, new_value);
-  });
-}
-
-void IntersectionMemo::ApplyCellWrite(size_t col, size_t row,
-                                      ValueId new_value) {
-  if (shared_ != nullptr) dirty_cols_.insert(col);
-  ForEachEntryOfColumn(col, [&](MemoMap::iterator it) {
-    return PatchEntry(it, col, nullptr, row, new_value);
-  });
-}
-
-void IntersectionMemo::ApplyAppend(const Table& table, size_t old_rows) {
-  size_t new_rows = table.num_rows();
-  FALCON_CHECK(new_rows >= old_rows);
-  if (new_rows == old_rows) return;
-  // Base-pure shared entries describe the pre-append table; from here on
-  // every pair is private. (The shared tier itself is untouched — peer
-  // sessions on the original snapshot still need it.)
-  if (shared_ != nullptr) {
-    for (size_t c = 0; c < table.num_cols(); ++c) dirty_cols_.insert(c);
-    shared_pin_.reset();
-  }
-  for (auto& [key, e] : map_) {
-    e.rows.Resize(new_rows);
-    const ValueId* col_a = table.column(key.col_a).data();
-    const ValueId* col_b = table.column(key.col_b).data();
-    for (size_t r = old_rows; r < new_rows; ++r) {
-      if (col_a[r] == key.val_a && col_b[r] == key.val_b) e.rows.Set(r);
-    }
-    bytes_ -= e.bytes;
-    e.bytes = EntryBytes(e.rows);
-    bytes_ += e.bytes;
-  }
-}
-
-void IntersectionMemo::InvalidateColumn(size_t col) {
-  if (shared_ != nullptr) dirty_cols_.insert(col);
-  ForEachEntryOfColumn(col, [&](MemoMap::iterator it) {
-    Erase(it);
-    return false;
-  });
-}
-
-void IntersectionMemo::Clear() {
-  map_.clear();
-  lru_.clear();
-  col_keys_.clear();
-  probation_.clear();
-  probation_fifo_.clear();
-  shared_pin_.reset();
-  // dirty_cols_ survives: Clear drops cached state, but the table is
-  // still whatever the session made it — written columns stay private.
-  bytes_ = 0;
-}
-
 }  // namespace falcon

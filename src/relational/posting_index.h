@@ -31,11 +31,9 @@
 #ifndef FALCON_RELATIONAL_POSTING_INDEX_H_
 #define FALCON_RELATIONAL_POSTING_INDEX_H_
 
-#include <deque>
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -309,200 +307,6 @@ class PostingIndex {
   /// private tier) and survive cache invalidation (RCU grace).
   std::vector<std::unordered_map<ValueId, SharedBaseCache::EntryPtr>>
       shared_views_;
-};
-
-/// Counters for the pairwise-intersection memo below.
-struct IntersectionMemoStats {
-  size_t hits = 0;       ///< Find calls served from the private cache.
-  size_t misses = 0;     ///< Find calls that came up empty everywhere.
-  size_t evictions = 0;  ///< Entries dropped to satisfy the byte budget.
-  size_t admitted = 0;   ///< Puts that stored a bitmap (second touch).
-  size_t first_touch_skips = 0;  ///< Puts deferred to probation (first touch).
-  /// Two-tier counters: Finds served by the shared base tier, eligible
-  /// probes that missed it, and admitted pairs published there instead of
-  /// into the private map.
-  size_t shared_hits = 0;
-  size_t shared_misses = 0;
-  size_t shared_publishes = 0;
-};
-
-/// IntersectionMemo: byte-budgeted cache of pairwise predicate
-/// intersections (colA = vA) ∧ (colB = vB), keyed on the canonically
-/// ordered predicate pair. It lives alongside the PostingIndex and serves
-/// the lazy lattice's two-attribute nodes: successive repairs in a session
-/// rebuild lattices over recurring predicate pairs (the repaired tuple's
-/// bindings repeat across episodes), so the AND that produces a
-/// two-predicate view is worth remembering across lattices.
-///
-/// Entries are *pure* — they depend only on current table contents, never
-/// on a particular repair's bottom node — which is what makes reuse across
-/// lattices sound. To stay exact across writes, every table mutation must
-/// be reported through ApplyWrite/ApplyCellWrite (exact bitmap patches:
-/// rows leaving a predicate are AndNot-ed out; a write *onto* an entry's
-/// own value conservatively drops the entry since joining rows are
-/// unknown) or InvalidateColumn (retractions / unknown deltas). Tables
-/// mutated behind the memo's back make it stale — sessions own one memo
-/// per dirty table and route all writes through it.
-///
-/// The byte budget is enforced at insertion time by LRU eviction (the
-/// lattice copies an entry into its own state immediately, so no caller
-/// ever holds a reference across a Put). A single oversized entry is
-/// allowed to overflow the budget rather than thrash.
-///
-/// Admission is second-touch: the first Put of a pair only records the
-/// key in a bounded probation set (no bitmap stored); a Put — or a
-/// RecordTouch from the count-only path — for a pair already on
-/// probation admits it. One-shot pairs therefore never consume budget or
-/// evict recurring entries, which is what keeps the hit rate meaningful
-/// under churny workloads where most pairs occur exactly once.
-class IntersectionMemo {
- public:
-  /// `byte_budget` caps resident bitmap bytes (0 = unbounded).
-  explicit IntersectionMemo(size_t byte_budget = 0)
-      : byte_budget_(byte_budget) {}
-
-  IntersectionMemo(const IntersectionMemo&) = delete;
-  IntersectionMemo& operator=(const IntersectionMemo&) = delete;
-
-  /// Attaches the process-wide base tier (non-owning; must outlive the
-  /// memo): pairs whose columns this session has never written probe it
-  /// first and publish their admitted intersections there, in the
-  /// `compressed` plane. Base-tier entries are pure (pred ∧ pred over the
-  /// immutable base), so any session on the same snapshot may reuse them.
-  /// A column's first write (ApplyWrite/ApplyCellWrite/InvalidateColumn)
-  /// retires every pair mentioning it to the private tier.
-  void AttachShared(SharedBaseCache* shared, bool compressed) {
-    shared_ = shared;
-    shared_compressed_ = compressed;
-  }
-
-  /// Cached intersection of (col_a = val_a) ∧ (col_b = val_b), or nullptr.
-  /// The reference stays valid only until the next Put/Apply*/Invalidate
-  /// call — copy out of it before touching the memo again.
-  const HybridRowSet* Find(size_t col_a, ValueId val_a, size_t col_b,
-                           ValueId val_b);
-
-  /// Offers `rows` as the intersection of the two predicates (in whichever
-  /// representation the caller hands over — the lattice compacts sparse
-  /// intersections before the Put). First touch of a pair only records it
-  /// on probation and discards the bitmap; a recurring pair is admitted,
-  /// with the byte budget enforced by LRU eviction. A Put for a resident
-  /// pair refreshes the entry in place.
-  void Put(size_t col_a, ValueId val_a, size_t col_b, ValueId val_b,
-           HybridRowSet rows);
-
-  /// True iff the pair is resident (no stats or LRU side effects) —
-  /// lattice batch scheduling uses this to skip materializing ancestors a
-  /// memo hit will make unnecessary.
-  bool Contains(size_t col_a, ValueId val_a, size_t col_b,
-                ValueId val_b) const;
-
-  /// Records one occurrence of the pair for admission purposes without
-  /// storing anything. Returns true when the pair has now been seen
-  /// before (it is on probation), i.e. a Put would admit it — the
-  /// count-only lattice path uses this to decide whether materializing
-  /// the intersection once is worth it.
-  bool RecordTouch(size_t col_a, ValueId val_a, size_t col_b, ValueId val_b);
-
-  /// The caller wrote `new_value` into every row of `changed` in `col`.
-  /// Entries over (col = v), v ≠ new_value lose the changed rows exactly;
-  /// entries over (col = new_value) are dropped (rows may have joined).
-  void ApplyWrite(size_t col, const RowSet& changed, ValueId new_value);
-
-  /// Single-cell variant (the session's manual-fix path).
-  void ApplyCellWrite(size_t col, size_t row, ValueId new_value);
-
-  /// Streaming-append maintenance: `table` grew from `old_rows` rows by
-  /// appending (no existing cell changed). Every resident entry is resized
-  /// and each new row is tested against the entry's two predicates —
-  /// O(batch × entries), exact. All columns leave the shared tier: the
-  /// appended table no longer matches the base snapshot.
-  void ApplyAppend(const Table& table, size_t old_rows);
-
-  /// Drops every entry mentioning `col` (retractions, unknown deltas).
-  void InvalidateColumn(size_t col);
-
-  void Clear();
-
-  size_t cached_entries() const { return map_.size(); }
-  size_t cached_bytes() const { return bytes_; }
-  const IntersectionMemoStats& stats() const { return stats_; }
-
- private:
-  /// Canonically ordered predicate pair: (col_a, val_a) ≤ (col_b, val_b).
-  struct PairKey {
-    size_t col_a;
-    ValueId val_a;
-    size_t col_b;
-    ValueId val_b;
-    bool operator==(const PairKey&) const = default;
-  };
-  struct PairKeyHash {
-    size_t operator()(const PairKey& k) const {
-      uint64_t h = 1469598103934665603ull;
-      for (uint64_t part : {static_cast<uint64_t>(k.col_a),
-                            static_cast<uint64_t>(k.val_a),
-                            static_cast<uint64_t>(k.col_b),
-                            static_cast<uint64_t>(k.val_b)}) {
-        h ^= part;
-        h *= 1099511628211ull;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-  struct MemoEntry {
-    HybridRowSet rows;
-    size_t bytes = 0;  ///< Exact accounted bytes at last (re-)accounting.
-    std::list<PairKey>::iterator lru_it;
-  };
-  using MemoMap = std::unordered_map<PairKey, MemoEntry, PairKeyHash>;
-
-  static PairKey MakeKey(size_t col_a, ValueId val_a, size_t col_b,
-                         ValueId val_b);
-  static size_t EntryBytes(const HybridRowSet& rows);
-  void Erase(MemoMap::iterator it);
-  /// Patches one entry for a write of `new_value` into `col`; the changed
-  /// rows are reported either as a bitmap or a single row id. Returns
-  /// false when the entry had to be dropped.
-  bool PatchEntry(MemoMap::iterator it, size_t col, const RowSet* changed,
-                  size_t row, ValueId new_value);
-  template <typename Fn>
-  void ForEachEntryOfColumn(size_t col, Fn&& fn);
-
-  /// Bound on the probation set: a pathological stream of one-shot pairs
-  /// ages out the oldest probation keys FIFO instead of growing without
-  /// limit. Deterministic — depends only on the call sequence.
-  static constexpr size_t kProbationMax = 4096;
-
-  /// Inserts `key` into probation (FIFO-evicting past the bound), or
-  /// returns true if it was already there — i.e. the pair recurred.
-  bool TouchProbation(const PairKey& key);
-
-  /// True while both columns are clean (shared tier attached and neither
-  /// has been written through this memo).
-  bool SharedEligible(size_t col_a, size_t col_b) const {
-    return shared_ != nullptr && dirty_cols_.count(col_a) == 0 &&
-           dirty_cols_.count(col_b) == 0;
-  }
-
-  SharedBaseCache* shared_ = nullptr;
-  bool shared_compressed_ = false;
-  /// Columns this session has written; pairs touching them are private.
-  std::unordered_set<size_t> dirty_cols_;
-  /// Pin keeping the last shared Find result alive for the caller
-  /// (Find's contract: valid until the next mutating call).
-  SharedBaseCache::EntryPtr shared_pin_;
-
-  size_t byte_budget_;
-  MemoMap map_;
-  std::list<PairKey> lru_;  // Front = most recently used.
-  std::unordered_set<PairKey, PairKeyHash> probation_;
-  std::deque<PairKey> probation_fifo_;  // Oldest first.
-  /// Per-column key lists so writes only visit entries mentioning the
-  /// written column; stale keys (evicted entries) are compacted lazily.
-  std::unordered_map<size_t, std::vector<PairKey>> col_keys_;
-  size_t bytes_ = 0;
-  IntersectionMemoStats stats_;
 };
 
 }  // namespace falcon

@@ -224,10 +224,6 @@ JsonValue StatusBody(const SessionStatus& st) {
   metrics.Set("posting_shared_hits", st.metrics.posting_shared_hits);
   metrics.Set("posting_shared_misses", st.metrics.posting_shared_misses);
   metrics.Set("posting_shared_bytes", st.metrics.posting_shared_bytes);
-  metrics.Set("memo_hits", st.metrics.lattice_memo_hits);
-  metrics.Set("memo_misses", st.metrics.lattice_memo_misses);
-  metrics.Set("memo_shared_hits", st.metrics.lattice_memo_shared_hits);
-  metrics.Set("memo_shared_misses", st.metrics.lattice_memo_shared_misses);
   // Streaming-append counters (AppendBatch-fed sessions; zero otherwise).
   metrics.Set("rows_appended", st.metrics.rows_appended);
   metrics.Set("append_batches", st.metrics.append_batches);
@@ -236,8 +232,6 @@ JsonValue StatusBody(const SessionStatus& st) {
   // Derived rates so nobody recomputes them from counter pairs by hand.
   metrics.Set("posting_hit_rate", st.metrics.PostingHitRate());
   metrics.Set("posting_shared_hit_rate", st.metrics.PostingSharedHitRate());
-  metrics.Set("memo_hit_rate", st.metrics.MemoHitRate());
-  metrics.Set("memo_shared_hit_rate", st.metrics.MemoSharedHitRate());
 
   JsonValue body = JsonValue::Object();
   body.Set("session", st.id);

@@ -743,10 +743,15 @@ ServiceHealth SessionManager::Health() const {
     SharedBaseCacheStats cs = entry.cache->Stats();
     h.shared_resident_bytes += cs.resident_bytes;
     h.shared_entries += cs.entries;
-    h.shared_hits += cs.posting_hits + cs.intersection_hits;
-    h.shared_misses += cs.posting_misses + cs.intersection_misses;
+    h.shared_hits += cs.posting_hits;
+    h.shared_misses += cs.posting_misses;
   }
   return h;
+}
+
+size_t SessionManager::cached_bases() const {
+  std::lock_guard<std::mutex> lock(base_mu_);
+  return bases_.size();
 }
 
 size_t SessionManager::active_sessions() const {

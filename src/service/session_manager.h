@@ -149,9 +149,9 @@ struct ServiceHealth {
   /// Shared base tier, counted once per base cache (never per session).
   size_t shared_bases = 0;           ///< bases_ entries with a live cache.
   size_t shared_resident_bytes = 0;  ///< Σ cache resident bytes.
-  size_t shared_entries = 0;         ///< Σ cached postings+intersections.
-  size_t shared_hits = 0;            ///< Σ posting+intersection hits.
-  size_t shared_misses = 0;          ///< Σ posting+intersection misses.
+  size_t shared_entries = 0;         ///< Σ cached shared postings.
+  size_t shared_hits = 0;            ///< Σ shared posting hits.
+  size_t shared_misses = 0;          ///< Σ shared posting misses.
   /// Streaming-append aggregates across live sessions (as of each
   /// session's last status snapshot).
   size_t rows_appended = 0;
@@ -242,6 +242,8 @@ class SessionManager {
   ServiceHealth Health() const;
 
   size_t active_sessions() const;
+  /// Base workloads built and cached for reuse by later opens.
+  size_t cached_bases() const;
   const ServiceLimits& limits() const { return limits_; }
 
  private:

@@ -1,8 +1,8 @@
 // Universe growth for streaming append: RowSet/CompressedRowSet/
 // HybridRowSet::Resize semantics (and the mismatched-universe guard rails),
 // deterministic parallel posting builds, PostingIndex::ApplyAppend vs
-// rebuild, Lattice::ApplyAppend vs a fresh build over the grown table, and
-// the incremental violation detector vs its one-shot ground truth.
+// rebuild, and the incremental violation detector vs its one-shot ground
+// truth.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,7 +12,6 @@
 #include "common/hybrid_row_set.h"
 #include "common/row_set.h"
 #include "common/thread_pool.h"
-#include "core/lattice.h"
 #include "core/violation_detector.h"
 #include "datagen/spec.h"
 #include "relational/posting_index.h"
@@ -236,47 +235,6 @@ TEST(PostingAppendTest, ApplyAppendMatchesRebuildOnGrownTable) {
     // table.
     EXPECT_EQ(index.Postings(1, st.table.cell(0, 1)).universe_size(),
               st.table.num_rows());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lattice append maintenance.
-
-TEST(LatticeAppendTest, ApplyAppendMatchesFreshBuildOverGrownTable) {
-  SpecTable st = MakeSpecTable();
-  Repair repair{/*row=*/0, /*col=*/2,
-                std::string(st.table.pool()->Get(st.table.cell(1, 2)))};
-  std::vector<size_t> candidates = {1, 3};
-
-  for (bool lazy : {true, false}) {
-    SpecTable grown = MakeSpecTable();
-    LatticeOptions options;
-    options.lazy = lazy;
-    auto lattice = Lattice::Build(grown.table, repair, candidates, options);
-    ASSERT_TRUE(lattice.ok()) << lattice.status().message();
-    // Materialize a mix of state before the append: full bitmaps for some
-    // nodes, count-only state for others.
-    lattice->AffectedRows(lattice->bottom());
-    lattice->AffectedRows(lattice->top());
-    lattice->Count(1);
-    lattice->Count(lattice->num_nodes() - 2);
-
-    size_t old_rows = grown.table.num_rows();
-    auto chunk = grown.gen.Chunk(old_rows, 500);
-    ASSERT_TRUE(chunk.ok());
-    grown.table.AppendBatch(*chunk);
-    lattice->ApplyAppend(grown.table);
-
-    auto fresh = Lattice::Build(grown.table, repair, candidates, options);
-    ASSERT_TRUE(fresh.ok());
-    ASSERT_EQ(lattice->num_nodes(), fresh->num_nodes());
-    for (NodeId n = 0; n < lattice->num_nodes(); ++n) {
-      EXPECT_EQ(lattice->Count(n), fresh->Count(n)) << "node " << n;
-      EXPECT_TRUE(lattice->AffectedRows(n) == fresh->AffectedRows(n))
-          << "node " << n;
-      EXPECT_EQ(lattice->AffectedRows(n).universe_size(),
-                grown.table.num_rows());
-    }
   }
 }
 

@@ -300,126 +300,5 @@ TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
   }
 }
 
-RowSet BitsOf(size_t universe, std::initializer_list<size_t> rows) {
-  RowSet s(universe);
-  for (size_t r : rows) s.Set(r);
-  return s;
-}
-
-// Admission is second-touch: the first Put of a pair only records it on
-// probation. Tests that need a resident entry Put twice (AdmitPut below).
-void AdmitPut(IntersectionMemo& memo, size_t col_a, ValueId val_a,
-              size_t col_b, ValueId val_b, const RowSet& rows) {
-  memo.Put(col_a, val_a, col_b, val_b, rows);
-  memo.Put(col_a, val_a, col_b, val_b, rows);
-}
-
-TEST(IntersectionMemoTest, FindIsKeyOrderInsensitive) {
-  IntersectionMemo memo;
-  RowSet rows = BitsOf(64, {1, 4});
-  AdmitPut(memo, 2, ValueId{7}, 1, ValueId{3}, rows);
-  const HybridRowSet* a = memo.Find(2, ValueId{7}, 1, ValueId{3});
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(*a, rows);
-  // Swapped predicate order canonicalizes to the same entry.
-  const HybridRowSet* b = memo.Find(1, ValueId{3}, 2, ValueId{7});
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(*b, rows);
-  EXPECT_EQ(memo.cached_entries(), 1u);
-  EXPECT_EQ(memo.stats().hits, 2u);
-  EXPECT_EQ(memo.Find(1, ValueId{3}, 2, ValueId{8}), nullptr);
-  EXPECT_EQ(memo.stats().misses, 1u);
-}
-
-TEST(IntersectionMemoTest, ApplyWritePatchesExactly) {
-  IntersectionMemo memo;
-  // Entry over (col1 = v3) ∧ (col2 = v7) holding rows {1, 4, 9}.
-  AdmitPut(memo, 1, ValueId{3}, 2, ValueId{7}, BitsOf(64, {1, 4, 9}));
-
-  // A write of a *different* value into col1 removes the changed rows:
-  // those rows no longer satisfy col1 = v3.
-  memo.ApplyWrite(1, BitsOf(64, {4, 20}), ValueId{5});
-  const HybridRowSet* e = memo.Find(1, ValueId{3}, 2, ValueId{7});
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(*e, BitsOf(64, {1, 9}));
-
-  // A write *onto* the entry's own value drops the entry — unknown rows
-  // may have joined the predicate.
-  memo.ApplyWrite(1, BitsOf(64, {30}), ValueId{3});
-  EXPECT_EQ(memo.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-
-  // Single-cell variant behaves the same way. (A dropped pair re-earns
-  // admission from scratch, hence the double Put.)
-  AdmitPut(memo, 1, ValueId{3}, 2, ValueId{7}, BitsOf(64, {1, 9}));
-  memo.ApplyCellWrite(1, /*row=*/9, ValueId{6});
-  e = memo.Find(1, ValueId{3}, 2, ValueId{7});
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(*e, BitsOf(64, {1}));
-  memo.ApplyCellWrite(2, /*row=*/50, ValueId{7});
-  EXPECT_EQ(memo.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-}
-
-TEST(IntersectionMemoTest, InvalidateColumnDropsOnlyThatColumn) {
-  IntersectionMemo memo;
-  AdmitPut(memo, 1, ValueId{3}, 2, ValueId{7}, BitsOf(64, {1}));
-  AdmitPut(memo, 3, ValueId{4}, 4, ValueId{9}, BitsOf(64, {2}));
-  memo.InvalidateColumn(2);
-  EXPECT_EQ(memo.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-  EXPECT_NE(memo.Find(3, ValueId{4}, 4, ValueId{9}), nullptr);
-  EXPECT_EQ(memo.cached_entries(), 1u);
-}
-
-TEST(IntersectionMemoTest, ByteBudgetEvictsLru) {
-  // Budget sized for roughly two 64-row entries; inserting a third evicts
-  // the least recently used.
-  RowSet probe = BitsOf(64, {0});
-  IntersectionMemo sizer;
-  AdmitPut(sizer, 0, ValueId{0}, 1, ValueId{0}, probe);
-  size_t entry_bytes = sizer.cached_bytes();
-  IntersectionMemo memo(entry_bytes * 2);
-  AdmitPut(memo, 1, ValueId{1}, 2, ValueId{1}, BitsOf(64, {1}));
-  AdmitPut(memo, 1, ValueId{2}, 2, ValueId{2}, BitsOf(64, {2}));
-  memo.Find(1, ValueId{1}, 2, ValueId{1});  // Refresh: entry 1 is now MRU.
-  AdmitPut(memo, 1, ValueId{3}, 2, ValueId{3}, BitsOf(64, {3}));
-  EXPECT_EQ(memo.cached_entries(), 2u);
-  EXPECT_EQ(memo.stats().evictions, 1u);
-  // Entry 2 was the LRU victim; 1 and 3 survive.
-  EXPECT_NE(memo.Find(1, ValueId{1}, 2, ValueId{1}), nullptr);
-  EXPECT_EQ(memo.Find(1, ValueId{2}, 2, ValueId{2}), nullptr);
-  EXPECT_NE(memo.Find(1, ValueId{3}, 2, ValueId{3}), nullptr);
-}
-
-TEST(IntersectionMemoTest, SecondTouchAdmission) {
-  IntersectionMemo memo;
-  // First offer of a pair is recorded on probation, not stored.
-  memo.Put(1, ValueId{1}, 2, ValueId{1}, BitsOf(64, {1}));
-  EXPECT_EQ(memo.cached_entries(), 0u);
-  EXPECT_FALSE(memo.Contains(1, ValueId{1}, 2, ValueId{1}));
-  EXPECT_EQ(memo.stats().first_touch_skips, 1u);
-  EXPECT_EQ(memo.stats().admitted, 0u);
-  // The recurring offer is admitted.
-  memo.Put(1, ValueId{1}, 2, ValueId{1}, BitsOf(64, {1}));
-  EXPECT_EQ(memo.cached_entries(), 1u);
-  EXPECT_TRUE(memo.Contains(1, ValueId{1}, 2, ValueId{1}));
-  EXPECT_EQ(memo.stats().admitted, 1u);
-  // A one-shot pair never consumes budget or evicts the resident entry.
-  memo.Put(3, ValueId{9}, 4, ValueId{9}, BitsOf(64, {5}));
-  EXPECT_EQ(memo.cached_entries(), 1u);
-  EXPECT_EQ(memo.stats().first_touch_skips, 2u);
-}
-
-TEST(IntersectionMemoTest, RecordTouchDrivesCountOnlyAdmission) {
-  IntersectionMemo memo;
-  // First touch from the count-only path: not yet worth materializing.
-  EXPECT_FALSE(memo.RecordTouch(1, ValueId{1}, 2, ValueId{1}));
-  // Second touch says a Put would admit — and it does (RecordTouch leaves
-  // the key on probation for the Put that follows).
-  EXPECT_TRUE(memo.RecordTouch(2, ValueId{1}, 1, ValueId{1}));  // Canonical.
-  memo.Put(1, ValueId{1}, 2, ValueId{1}, BitsOf(64, {2}));
-  EXPECT_TRUE(memo.Contains(1, ValueId{1}, 2, ValueId{1}));
-  // Resident pairs always report true without touching probation.
-  EXPECT_TRUE(memo.RecordTouch(1, ValueId{1}, 2, ValueId{1}));
-}
-
 }  // namespace
 }  // namespace falcon

@@ -231,6 +231,28 @@ TEST(ProtocolTest, DispatchesVerbsAndReportsErrors) {
   EXPECT_FALSE(HandleRequest(manager, close).GetBool("ok"));
 }
 
+// A scale that is not a finite, positive row multiplier within the row cap
+// is refused at the boundary, promptly and before any base is built: cast
+// to a row count, -5 and 1e300 are undefined behaviour.
+TEST(ProtocolTest, OpenSessionRejectsOutOfRangeScale) {
+  SessionManager manager(ServiceLimits{});
+  for (double scale : {-5.0, 0.0, 1e300}) {
+    SCOPED_TRACE(scale);
+    JsonValue open = JsonValue::Object();
+    open.Set("verb", "open_session");
+    open.Set("dataset", "Synth10k");
+    open.Set("scale", scale);
+    auto t0 = std::chrono::steady_clock::now();
+    JsonValue r = HandleRequest(manager, open);
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_FALSE(r.GetBool("ok")) << r.Serialize();
+    EXPECT_EQ(r.GetString("code"), "INVALID_ARGUMENT");
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+  }
+  EXPECT_EQ(manager.cached_bases(), 0u);
+  EXPECT_EQ(manager.active_sessions(), 0u);
+}
+
 TEST(ServerTest, SocketRoundTripOverUnixSocket) {
   ServerOptions options;
   options.unix_path = "/tmp/falcon_service_test.sock";

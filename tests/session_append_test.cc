@@ -1,9 +1,9 @@
 // CleaningSession::AppendBatch: contract checks, and the equivalence proof
 // behind the Fig. 8 append-vs-rebuild claim — a session whose cached state
-// is incrementally maintained across appends (posting Resize+fold, memo
-// extension, worklist diff) must interact and converge exactly like one
-// that drops and rebuilds that state, for every search algorithm and both
-// posting storage modes. Also covers the append counters surfaced through
+// is incrementally maintained across appends (posting Resize+fold,
+// worklist diff) must interact and converge exactly like one that drops
+// and rebuilds that state, for every search algorithm and both posting
+// storage modes. Also covers the append counters surfaced through
 // the service status/ping verbs.
 #include <gtest/gtest.h>
 

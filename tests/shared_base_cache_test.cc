@@ -1,10 +1,10 @@
 // SharedBaseCache: the process-wide base-snapshot read tier. Covers the
 // publication protocol (first-publisher-wins, epoch-gated rejection,
-// byte-budget rejection, plane separation), the two-tier PostingIndex /
-// IntersectionMemo integration (shared probe first, privatize-on-write),
-// and — the property everything else exists for — bit-identity of
-// shared-cache sessions with solo runs, including under concurrent
-// sessions with a chaos invalidator (runs under TSan in CI).
+// byte-budget rejection, plane separation), the two-tier PostingIndex
+// integration (shared probe first, privatize-on-write), and — the
+// property everything else exists for — bit-identity of shared-cache
+// sessions with solo runs, including under concurrent sessions with a
+// chaos invalidator (runs under TSan in CI).
 #include "core/shared_base_cache.h"
 
 #include <atomic>
@@ -128,21 +128,6 @@ TEST(SharedBaseCacheTest, ByteBudgetRejectsOverBudgetPublishes) {
   EXPECT_GT(cache.Stats().rejected_publishes, 0u);
 }
 
-TEST(SharedBaseCacheTest, IntersectionPairOrderCanonicalizes) {
-  SharedBaseCache cache(5, 4);
-  RowSet rows = BitsOf(64, {2, 9});
-  cache.PublishIntersection(false, 2, ValueId{7}, 1, ValueId{3}, rows,
-                            cache.epoch());
-  SharedBaseCache::EntryPtr e =
-      cache.FindIntersection(false, 1, ValueId{3}, 2, ValueId{7});
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(*e, rows);
-  EXPECT_TRUE(cache.ContainsIntersection(false, 2, ValueId{7}, 1, ValueId{3}));
-  EXPECT_TRUE(cache.ContainsIntersection(false, 1, ValueId{3}, 2, ValueId{7}));
-  EXPECT_FALSE(cache.ContainsIntersection(true, 1, ValueId{3}, 2, ValueId{7}));
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
 // Builds a rows×cols table over a small alphabet so values recur heavily.
 Table MakeRandomTable(size_t rows, size_t cols, size_t alphabet, Rng* rng) {
   std::vector<std::string> names;
@@ -225,58 +210,6 @@ TEST(TwoTierPostingIndexTest, SnapshotMismatchKeepsIndexFullyPrivate) {
   EXPECT_EQ(index.stats().shared_hits, 0u);
   EXPECT_EQ(index.stats().shared_misses, 0u);
   EXPECT_EQ(index.misses(), 1u);
-}
-
-TEST(TwoTierIntersectionMemoTest, SharedTierServesPairsUntilColumnDirty) {
-  SharedBaseCache cache(9, 8);
-  IntersectionMemo memo;
-  memo.AttachShared(&cache, /*compressed=*/false);
-  RowSet rows = BitsOf(64, {1, 4});
-
-  // Second-touch admission still gates the shared tier; the admitted pair
-  // is stored process-wide, not in the private map.
-  memo.Put(1, ValueId{3}, 2, ValueId{7}, rows);
-  EXPECT_EQ(memo.stats().first_touch_skips, 1u);
-  EXPECT_FALSE(cache.ContainsIntersection(false, 1, ValueId{3}, 2, ValueId{7}));
-  memo.Put(1, ValueId{3}, 2, ValueId{7}, rows);
-  EXPECT_EQ(memo.stats().shared_publishes, 1u);
-  EXPECT_EQ(memo.cached_entries(), 0u);
-  EXPECT_TRUE(cache.ContainsIntersection(false, 1, ValueId{3}, 2, ValueId{7}));
-
-  // Served back (order-insensitive), counted as a shared hit.
-  const HybridRowSet* e = memo.Find(2, ValueId{7}, 1, ValueId{3});
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(*e, rows);
-  EXPECT_EQ(memo.stats().shared_hits, 1u);
-  EXPECT_TRUE(memo.Contains(1, ValueId{3}, 2, ValueId{7}));
-  EXPECT_TRUE(memo.RecordTouch(1, ValueId{3}, 2, ValueId{7}));
-
-  // A second session's memo on the same cache hits immediately.
-  IntersectionMemo peer;
-  peer.AttachShared(&cache, /*compressed=*/false);
-  ASSERT_NE(peer.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-  EXPECT_EQ(peer.stats().shared_hits, 1u);
-
-  // Writing into column 2 dirties it for THIS memo only: the pair is no
-  // longer served from the shared tier here, and a re-admitted pair lands
-  // in the private map. The peer (no writes) keeps its shared service.
-  memo.ApplyCellWrite(2, /*row=*/9, ValueId{7});
-  EXPECT_EQ(memo.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-  memo.Put(1, ValueId{3}, 2, ValueId{7}, rows);
-  memo.Put(1, ValueId{3}, 2, ValueId{7}, rows);
-  EXPECT_EQ(memo.cached_entries(), 1u);
-  EXPECT_NE(memo.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-  ASSERT_NE(peer.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-
-  // Clear() (new lattice episode) must NOT forget dirtiness — the table
-  // is still mutated, so base pairs over column 2 stay ineligible.
-  memo.Clear();
-  EXPECT_EQ(memo.Find(1, ValueId{3}, 2, ValueId{7}), nullptr);
-  // Pairs not touching a dirty column still ride the shared tier.
-  memo.Put(3, ValueId{1}, 4, ValueId{1}, rows);
-  memo.Put(3, ValueId{1}, 4, ValueId{1}, rows);
-  EXPECT_TRUE(cache.ContainsIntersection(false, 3, ValueId{1}, 4, ValueId{1}));
-  EXPECT_EQ(memo.cached_entries(), 0u);
 }
 
 // ---------------------------------------------------------------------------
