@@ -1,37 +1,11 @@
 #include "common/crc32c.h"
 
-#include <array>
+#include "common/simd.h"
 
 namespace falcon {
-namespace {
-
-// Byte-at-a-time lookup table for the reflected Castagnoli polynomial,
-// generated once at first use.
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int b = 0; b < 8; ++b) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace
 
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
-  const std::array<uint32_t, 256>& table = Table();
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t state = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    state = table[(state ^ p[i]) & 0xFF] ^ (state >> 8);
-  }
-  return state ^ 0xFFFFFFFFu;
+  return simd::Active().crc32c_extend(crc, data, n);
 }
 
 }  // namespace falcon

@@ -1,8 +1,12 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78): the
-// checksum guarding every session-journal record. Software slice-by-one
-// table implementation — journal records are small, so the table lookup is
-// not a bottleneck; the polynomial matches what storage systems (RocksDB,
-// LevelDB, ext4) use so torn-record detection behaves identically.
+// checksum guarding every session-journal record and the whole-table
+// snapshot CRC (TableContentsCrc) that every service step and status
+// computes. It runs through the SIMD dispatch (common/simd.h): the SSE4.2
+// `crc32` instruction, 8 bytes at a time, on CPUs with the AVX2 tier or
+// better, and a byte-at-a-time table elsewhere or under
+// FALCON_SIMD_LEVEL=scalar. Every tier returns the same value. The
+// polynomial matches what storage systems (RocksDB, LevelDB, ext4) use so
+// torn-record detection behaves identically.
 #ifndef FALCON_COMMON_CRC32C_H_
 #define FALCON_COMMON_CRC32C_H_
 

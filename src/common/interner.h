@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 namespace falcon {
 
@@ -24,10 +25,11 @@ inline constexpr ValueId kNullValueId = 0;
 ///
 /// Thread-safety: concurrent cleaning sessions share one pool (their tables
 /// are copy-on-write snapshots of the same base instances), so all methods
-/// are safe to call from many threads. Reads take a shared lock; Intern
-/// upgrades to exclusive only on first sight of a value. Storage is a deque
-/// so element addresses are stable — a string_view from Get() stays valid
-/// for the pool's lifetime even while other threads intern.
+/// are safe to call from many threads. Reads take a shared lock (once per
+/// call, or once per pass with WithTexts); Intern upgrades to exclusive
+/// only on first sight of a value. Storage is a deque so element addresses
+/// are stable — a string_view from Get() stays valid for the pool's
+/// lifetime even while other threads intern.
 ///
 /// Determinism note: the *ids* assigned to values interned concurrently
 /// depend on thread interleaving, but every consumer compares values by
@@ -116,6 +118,40 @@ class ValuePool {
   std::string_view Get(ValueId id) const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return strings_[id];
+  }
+
+  /// Id→text accessor handed to a WithTexts callback. `texts[id]` decodes
+  /// like Get(id) but takes no lock: it relies on the shared lock its
+  /// WithTexts call holds, so it must not escape that call. The views it
+  /// returns stay valid for the pool's lifetime, like Get's.
+  class Texts {
+   public:
+    std::string_view operator[](ValueId id) const { return (*strings_)[id]; }
+
+   private:
+    friend class ValuePool;
+    explicit Texts(const std::deque<std::string>* strings)
+        : strings_(strings) {}
+    const std::deque<std::string>* strings_;
+  };
+
+  /// Bulk read: takes the shared lock once, calls `fn(texts)` with a Texts
+  /// accessor, and returns what `fn` returns. Use it for loops that decode
+  /// many ids in one go (the whole-table CRC, a rule's before-images):
+  /// concurrent sessions share one pool, and a Get per cell is one
+  /// reader-lock round trip per cell on the same cache line from every
+  /// worker.
+  ///
+  /// Contract: `fn` must not call back into this pool — no Get, Intern,
+  /// InternBatch, Lookup, Reserve, size or nested WithTexts, directly or
+  /// through a Table. std::shared_mutex is not recursive: a nested shared
+  /// lock is undefined behaviour and an Intern self-deadlocks. Interns of
+  /// new values from other threads wait until `fn` returns, so keep it to
+  /// decoding: no I/O or blocking.
+  template <typename Fn>
+  decltype(auto) WithTexts(Fn&& fn) const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return std::forward<Fn>(fn)(Texts(&strings_));
   }
 
   /// Number of interned values including the NULL slot.

@@ -1,8 +1,11 @@
 #include "common/logging.h"
 
+#include <atomic>
+
 namespace falcon {
 namespace {
-LogLevel g_level = LogLevel::kWarning;
+// Atomic: every FALCON_LOG statement reads it, from any thread.
+std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -19,13 +22,14 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
+LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
+void SetLogLevel(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
 
 namespace internal_logging {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
@@ -33,11 +37,8 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
   stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (level_ >= g_level) {
-    std::cerr << stream_.str() << std::endl;
-  }
-}
+// FALCON_LOG constructs a LogMessage only for enabled levels.
+LogMessage::~LogMessage() { std::cerr << stream_.str() << std::endl; }
 
 }  // namespace internal_logging
 }  // namespace falcon

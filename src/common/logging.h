@@ -25,28 +25,28 @@ class LogMessage {
   std::ostream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-/// Sink for disabled log statements; swallows the stream.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
+/// Turns `stream << ...` into void so FALCON_LOG can sit in the false arm
+/// of a conditional: `&` binds looser than `<<` and tighter than `?:`.
+struct Voidify {
+  void operator&(std::ostream&) {}
 };
 
 }  // namespace internal_logging
 }  // namespace falcon
 
-// Usage: FALCON_LOG(Info) << "x=" << x;  Filtering happens at flush time in
-// the LogMessage destructor, so disabled levels cost only formatting.
-#define FALCON_LOG(level)                                             \
-  ::falcon::internal_logging::LogMessage(                             \
-      ::falcon::LogLevel::k##level, __FILE__, __LINE__)               \
-      .stream()
+// Usage: FALCON_LOG(Info) << "x=" << x;  The level is checked before the
+// message is built, so a disabled statement evaluates none of its stream
+// operands: it costs one GetLogLevel() call and a branch.
+#define FALCON_LOG(level)                                               \
+  (::falcon::LogLevel::k##level < ::falcon::GetLogLevel())              \
+      ? (void)0                                                         \
+      : ::falcon::internal_logging::Voidify() &                         \
+            ::falcon::internal_logging::LogMessage(                     \
+                ::falcon::LogLevel::k##level, __FILE__, __LINE__)       \
+                .stream()
 
 /// Fatal invariant check, active in all build types.
 #define FALCON_CHECK(cond)                                             \

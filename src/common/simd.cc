@@ -5,6 +5,7 @@
 // the fallback really is executable anywhere.
 #include "common/simd.h"
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -143,10 +144,35 @@ size_t ScalarArrayBitmapCount(const uint16_t* vals, size_t n,
   return count;
 }
 
+// Byte-at-a-time lookup table for the reflected Castagnoli polynomial
+// 0x82F63B78: the portable CRC32C and the reference the SSE4.2 tiers are
+// tested against.
+constexpr std::array<uint32_t, 256> kCrc32cTable = [] {
+  std::array<uint32_t, 256> t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+    }
+    t[i] = crc;
+  }
+  return t;
+}();
+
+uint32_t ScalarCrc32cExtend(uint32_t crc, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t state = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    state = kCrc32cTable[(state ^ p[i]) & 0xFF] ^ (state >> 8);
+  }
+  return state ^ 0xFFFFFFFFu;
+}
+
 constexpr Kernels kScalarKernels = {
     ScalarPopcountWords,   ScalarAndCountWords,    ScalarAndWords,
     ScalarAndNotWords,     ScalarOrWords,          ScalarIntersectU16,
     ScalarIntersectU16Count, ScalarArrayBitmapCount, ScalarAnd3CountWords,
+    ScalarCrc32cExtend,
 };
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 // dominate the lattice/posting hot path: bitmap word loops (AND / ANDNOT /
 // OR / popcount / fused and-count), sorted-u16 array intersection (the
 // Roaring array-container kernel), and array-against-bitmap membership
-// counting. Three tiers are compiled — portable scalar, AVX2, and AVX-512
-// (with VPOPCNTDQ) — each in its own translation unit with the matching
-// -m flags, and the best tier the CPU supports is selected once via CPUID
-// on first use. The active tier can be forced down (never up past what the
-// CPU supports) with the FALCON_SIMD_LEVEL environment variable or the
-// --simd_level flag every binary exposes; tests use this to compare tiers
-// bit-for-bit.
+// counting — plus CRC32C, which hashes the whole table on every service
+// response (SSE4.2 `crc32` in the vector tiers). Three tiers are compiled
+// — portable scalar, AVX2, and AVX-512 (with VPOPCNTDQ) — each in its own
+// translation unit with the matching -m flags, and the best tier the CPU
+// supports is selected once via CPUID on first use. The active tier can be
+// forced down (never up past what the CPU supports) with the
+// FALCON_SIMD_LEVEL environment variable or the --simd_level flag every
+// binary exposes; tests use this to compare tiers bit-for-bit.
 //
 // All kernels are pure functions of their inputs and every tier returns
 // bit-identical results — dispatch is a performance decision only, so the
@@ -69,6 +70,11 @@ struct Kernels {
   /// alias a or b exactly (in-place) but must not partially overlap.
   size_t (*and3_count_words)(uint64_t* dst, const uint64_t* a,
                              const uint64_t* b, size_t n);
+  /// CRC32C (Castagnoli) of `data[0..n)` continuing from `crc`, with the
+  /// pre/post inversion of common/crc32c.h's Crc32cExtend (which calls
+  /// this). The scalar tier is the byte-table reference; the vector tiers
+  /// use the SSE4.2 `crc32` instruction 8 bytes at a time.
+  uint32_t (*crc32c_extend)(uint32_t crc, const void* data, size_t n);
 };
 
 /// Best tier the running CPU supports (CPUID probe; cached).

@@ -8,7 +8,8 @@
 // reduction to the end of the loop. Array∩array uses the SSE4.2
 // PCMPESTRM any-equal kernel over 8-element windows with a shuffle-mask
 // table to compact matches, falling back to galloping for heavily skewed
-// inputs (crossover kGallopRatioSimd, measured — see DESIGN.md).
+// inputs (crossover kGallopRatioSimd, measured — see DESIGN.md). CRC32C
+// uses the SSE4.2 `crc32` instruction (the AVX-512 tier inherits it).
 #include "common/simd.h"
 
 // __AVX2__ is defined iff this TU actually got its -mavx2 flag (CMake only
@@ -18,6 +19,7 @@
 
 #include <immintrin.h>
 
+#include <cstring>
 #include <utility>
 
 namespace falcon {
@@ -287,10 +289,31 @@ size_t Avx2ArrayBitmapCount(const uint16_t* vals, size_t n,
   return count;
 }
 
+// ---------------------------------------------------------------------------
+// CRC32C. The `crc32` instruction implements exactly the reflected
+// Castagnoli update of the scalar table loop; the 64-bit form consumes
+// eight bytes in memory order (x86 is little-endian), the byte form
+// finishes the tail.
+// ---------------------------------------------------------------------------
+
+uint32_t Sse42Crc32cExtend(uint32_t crc, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t state = crc ^ 0xFFFFFFFFu;
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    state = _mm_crc32_u64(state, word);
+  }
+  auto state32 = static_cast<uint32_t>(state);
+  for (; n > 0; --n, ++p) state32 = _mm_crc32_u8(state32, *p);
+  return state32 ^ 0xFFFFFFFFu;
+}
+
 constexpr Kernels kAvx2Kernels = {
     Avx2PopcountWords,    Avx2AndCountWords,  Avx2AndWords,
     Avx2AndNotWords,      Avx2OrWords,        Avx2IntersectU16,
     Avx2IntersectU16Count, Avx2ArrayBitmapCount, Avx2And3CountWords,
+    Sse42Crc32cExtend,
 };
 
 }  // namespace

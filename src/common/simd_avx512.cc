@@ -141,8 +141,9 @@ size_t Avx512ArrayBitmapCount(const uint16_t* vals, size_t n,
 }  // namespace
 
 const Kernels* Avx512Kernels() {
-  // Start from the AVX2 table (SSE4.2 array intersection) and override the
-  // word loops and the gathered membership test with 512-bit versions.
+  // Start from the AVX2 table (SSE4.2 array intersection and CRC32C) and
+  // override the word loops and the gathered membership test with 512-bit
+  // versions.
   static const Kernels kernels = [] {
     Kernels k = *Avx2Kernels();
     k.popcount_words = Avx512PopcountWords;

@@ -447,12 +447,13 @@ Status CleaningSession::RetractRule(size_t i) {
   // undo the retraction the same way it undoes an applied rule.
   std::vector<std::pair<uint32_t, bool>> was_clean;
   was_clean.reserve(e.before.size());
-  for (const auto& [row, value] : e.before) {
-    rec.before.emplace_back(
-        row, std::string(dirty_->pool()->Get(dirty_->cell(row, col))));
-    was_clean.emplace_back(row,
-                           dirty_->cell(row, col) == clean_->cell(row, col));
-  }
+  dirty_->pool()->WithTexts([&](const ValuePool::Texts& texts) {
+    for (const auto& [row, value] : e.before) {
+      rec.before.emplace_back(row, std::string(texts[dirty_->cell(row, col)]));
+      was_clean.emplace_back(row,
+                             dirty_->cell(row, col) == clean_->cell(row, col));
+    }
+  });
   FALCON_RETURN_IF_ERROR(Emit(&rec));
 
   FALCON_RETURN_IF_ERROR(log_.Undo(i, *dirty_, posting_index_.get()));

@@ -372,18 +372,37 @@ Status SessionJournal::TruncateTo(const std::string& path, size_t size) {
 }
 
 uint32_t TableContentsCrc(const Table& table) {
-  uint32_t crc = 0;
-  char len_buf[4];
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_cols(); ++c) {
-      std::string_view text = table.CellText(r, c);
-      uint32_t len = static_cast<uint32_t>(text.size());
-      std::memcpy(len_buf, &len, 4);
-      crc = Crc32cExtend(crc, len_buf, 4);
-      crc = Crc32cExtend(crc, text.data(), text.size());
+  // One pool lock for the whole pass: concurrent sessions share the pool,
+  // and a lock per cell made this loop the service's contention point.
+  // Cells are packed into a stack buffer and hashed a chunk at a time;
+  // chained Crc32cExtend calls equal one call over the concatenation, so
+  // the value is the per-cell one.
+  return table.pool()->WithTexts([&table](const ValuePool::Texts& texts) {
+    uint32_t crc = 0;
+    char buf[4096];
+    size_t used = 0;
+    auto append = [&](const void* data, size_t n) {
+      if (n > sizeof buf - used) {
+        crc = Crc32cExtend(crc, buf, used);
+        used = 0;
+      }
+      if (n > sizeof buf) {
+        crc = Crc32cExtend(crc, data, n);
+        return;
+      }
+      std::memcpy(buf + used, data, n);
+      used += n;
+    };
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      for (size_t c = 0; c < table.num_cols(); ++c) {
+        std::string_view text = texts[table.cell(r, c)];
+        uint32_t len = static_cast<uint32_t>(text.size());
+        append(&len, 4);
+        append(text.data(), text.size());
+      }
     }
-  }
-  return crc;
+    return Crc32cExtend(crc, buf, used);
+  });
 }
 
 }  // namespace falcon

@@ -140,17 +140,21 @@ std::string SessionManager::MetaPath(const std::string& id) const {
   return limits_.journal_dir + "/" + id + ".meta";
 }
 
-StatusOr<std::shared_ptr<const CleaningWorkload>> SessionManager::GetBase(
-    const std::string& dataset, double scale, std::string* key_out) {
+StatusOr<std::shared_ptr<const CleaningWorkload>> SessionManager::AcquireBase(
+    const std::string& dataset, double scale, std::string* key_out,
+    std::shared_ptr<SharedBaseCache>* cache_out) {
   // Key includes the scale so differently-sized instances of one dataset
   // coexist; %g keeps the key stable for equal doubles.
   char key[128];
   std::snprintf(key, sizeof key, "%s@%g", dataset.c_str(), scale);
-  if (key_out != nullptr) *key_out = key;
+  *key_out = key;
   {
     std::lock_guard<std::mutex> lock(base_mu_);
     auto it = bases_.find(key);
-    if (it != bases_.end()) return it->second.workload;
+    if (it != bases_.end()) {
+      *cache_out = AttachBaseLocked(key);
+      return it->second.workload;
+    }
   }
   // Build outside the lock: workload generation takes seconds at scale and
   // must not block unrelated sessions. A racing open of the same dataset
@@ -163,6 +167,9 @@ StatusOr<std::shared_ptr<const CleaningWorkload>> SessionManager::GetBase(
   std::lock_guard<std::mutex> lock(base_mu_);
   auto [it, inserted] = bases_.emplace(key, BaseEntry{});
   if (inserted) it->second.workload = std::move(base);
+  // Attached before eviction runs, so the new base counts as live.
+  *cache_out = AttachBaseLocked(key);
+  EvictIdleBasesLocked();
   return it->second.workload;
 }
 
@@ -188,12 +195,30 @@ void SessionManager::ReleaseBaseLocked(const std::string& key) {
   if (it == bases_.end()) return;
   BaseEntry& entry = it->second;
   if (entry.live_sessions > 0) --entry.live_sessions;
+  entry.last_touch_ns =
+      std::chrono::steady_clock::now().time_since_epoch().count();
   if (entry.live_sessions == 0 && entry.cache != nullptr) {
     // Last session on this base: drop the tier (retire the generation so
     // lingering pins in stragglers stay valid but nothing new is served).
-    // The workload stays cached for the next open.
+    // The workload stays cached for the next open, up to kMaxCachedBases.
     entry.cache->Invalidate();
     entry.cache.reset();
+  }
+  if (entry.live_sessions == 0) EvictIdleBasesLocked();
+}
+
+void SessionManager::EvictIdleBasesLocked() {
+  while (bases_.size() > kMaxCachedBases) {
+    auto oldest = bases_.end();
+    for (auto it = bases_.begin(); it != bases_.end(); ++it) {
+      if (it->second.live_sessions == 0 &&
+          (oldest == bases_.end() ||
+           it->second.last_touch_ns < oldest->second.last_touch_ns)) {
+        oldest = it;
+      }
+    }
+    if (oldest == bases_.end()) return;  // Every base has a live session.
+    bases_.erase(oldest);
   }
 }
 
@@ -234,22 +259,21 @@ void SessionManager::TouchBase(const std::string& key) {
 StatusOr<std::shared_ptr<SessionManager::ServiceSession>>
 SessionManager::Build(const OpenParams& params, const std::string& id) {
   FALCON_ASSIGN_OR_RETURN(SearchKind kind, ParseSearchKind(params.algorithm));
+  // Attaches to the base and its shared read tier now (refcounted): the
+  // session options below carry the cache pointer into the CleaningSession.
+  // Every exit path that fails to register this session must
+  // ReleaseBaseLocked.
   std::string base_key;
-  FALCON_ASSIGN_OR_RETURN(auto base,
-                          GetBase(params.dataset, params.scale, &base_key));
+  std::shared_ptr<SharedBaseCache> shared_cache;
+  FALCON_ASSIGN_OR_RETURN(auto base, AcquireBase(params.dataset, params.scale,
+                                                 &base_key, &shared_cache));
 
   auto s = std::make_shared<ServiceSession>(base);
   s->id = id;
   s->dataset = params.dataset;
   s->params = params;
   s->base_key = base_key;
-  // Attach to the base's shared read tier now (refcounted): the session
-  // options below carry the cache pointer into the CleaningSession. Every
-  // exit path that fails to register this session must ReleaseBaseLocked.
-  {
-    std::lock_guard<std::mutex> lock(base_mu_);
-    s->shared_cache = AttachBaseLocked(base_key);
-  }
+  s->shared_cache = std::move(shared_cache);
   // The oracle mirrors the session's internal construction
   // (question_mistake_prob, seed + 1) so an answer-free service run is
   // bit-identical to a serial RunCleaning with the same options.

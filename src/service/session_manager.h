@@ -41,7 +41,9 @@
 //     mutated are computed once process-wide and served to every session.
 //   - Lifecycle: the cache is created when the first session registers on
 //     a base and dropped (whole-tier invalidation + release) when the
-//     last session on that base closes; the workload itself stays cached.
+//     last session on that base closes; the workload itself stays cached
+//     until more than kMaxCachedBases bases are, when the least recently
+//     touched idle ones are evicted.
 //   - Budget: each cache is capped at shared_cache_budget_bytes
 //     (publish-time rejection), and the same number bounds the *sum*
 //     across bases — exceeded, the least-recently-touched base's tier is
@@ -242,6 +244,12 @@ class SessionManager {
   ServiceHealth Health() const;
 
   size_t active_sessions() const;
+  /// Idle bases (no live session) stay cached for later opens until more
+  /// than this many bases are cached; then the least recently touched idle
+  /// bases are evicted. A base with a live session is never evicted, so
+  /// the cache exceeds this only while that many bases are live.
+  static constexpr size_t kMaxCachedBases = 4;
+
   /// Base workloads built and cached for reuse by later opens.
   size_t cached_bases() const;
   const ServiceLimits& limits() const { return limits_; }
@@ -304,18 +312,28 @@ class SessionManager {
     int64_t last_touch_ns = 0;
   };
 
-  /// Builds or fetches the shared immutable base for (dataset, scale);
-  /// returns the workload and writes the bases_ key to *key_out.
-  StatusOr<std::shared_ptr<const CleaningWorkload>> GetBase(
-      const std::string& dataset, double scale, std::string* key_out);
+  /// Builds or fetches the shared immutable base for (dataset, scale) and
+  /// registers a live session on it (AttachBaseLocked) in the same
+  /// base_mu_ section, so eviction cannot drop it in between. Returns the
+  /// workload and writes the bases_ key to *key_out and the session's
+  /// shared tier (null when disabled) to *cache_out. The caller owes one
+  /// ReleaseBaseLocked.
+  StatusOr<std::shared_ptr<const CleaningWorkload>> AcquireBase(
+      const std::string& dataset, double scale, std::string* key_out,
+      std::shared_ptr<SharedBaseCache>* cache_out);
 
   /// Registers a live session on its base under base_mu_: bumps the
   /// refcount and creates the shared tier if this is the first attach.
   /// Returns the cache to hand to the session (null when disabled).
   std::shared_ptr<SharedBaseCache> AttachBaseLocked(const std::string& key);
-  /// Last-close bookkeeping under base_mu_: decrements the refcount and
-  /// drops the base's shared tier when it reaches zero.
+  /// Last-close bookkeeping under base_mu_: decrements the refcount, drops
+  /// the base's shared tier when it reaches zero, and evicts idle bases
+  /// beyond kMaxCachedBases.
   void ReleaseBaseLocked(const std::string& key);
+  /// Erases least-recently-touched idle bases until at most
+  /// kMaxCachedBases remain or every remaining base is live. Call under
+  /// base_mu_.
+  void EvictIdleBasesLocked();
   /// Cross-base LRU: while Σ cache bytes exceeds the budget, invalidates
   /// the least-recently-touched tier with resident bytes. Call under
   /// base_mu_.

@@ -253,6 +253,52 @@ TEST(ProtocolTest, OpenSessionRejectsOutOfRangeScale) {
   EXPECT_EQ(manager.active_sessions(), 0u);
 }
 
+// Every distinct scale builds its own base; enumerating scales must not
+// grow the cache without bound, and a base with a live session must never
+// be evicted. NextWorkloadSnapshotId() counts workload builds: a reopen
+// served from the cache builds nothing.
+TEST(SessionManagerTest, IdleBasesAreEvictedLiveBasesKept) {
+  SessionManager manager(ServiceLimits{});
+  auto pinned = manager.Open(SmallParams(7));  // Stays open throughout.
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  for (int i = 1; i <= 20; ++i) {
+    SessionManager::OpenParams p = SmallParams(7);
+    p.scale = kScale + 0.001 * i;
+    auto id = manager.Open(p);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(manager.Step(*id, 1).ok());
+    ASSERT_TRUE(manager.Close(*id).ok());
+    EXPECT_LE(manager.cached_bases(), SessionManager::kMaxCachedBases);
+  }
+
+  auto builds_for_open = [&](const SessionManager::OpenParams& p) {
+    uint64_t before = NextWorkloadSnapshotId();
+    auto id = manager.Open(p);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    uint64_t built = NextWorkloadSnapshotId() - before - 1;
+    if (id.ok()) {
+      EXPECT_TRUE(manager.Close(*id).ok());
+    }
+    return built;
+  };
+  // The live session's base was kept through all 20 evictions...
+  EXPECT_EQ(builds_for_open(SmallParams(8)), 0u);
+  // ...as was the most recently closed idle base, while the oldest idle
+  // one was evicted and is rebuilt.
+  SessionManager::OpenParams newest = SmallParams(7);
+  newest.scale = kScale + 0.001 * 20;
+  EXPECT_EQ(builds_for_open(newest), 0u);
+  SessionManager::OpenParams oldest = SmallParams(7);
+  oldest.scale = kScale + 0.001;
+  EXPECT_EQ(builds_for_open(oldest), 1u);
+  EXPECT_LE(manager.cached_bases(), SessionManager::kMaxCachedBases);
+
+  auto step = manager.Step(*pinned, 0);
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_TRUE(step->finished);
+  EXPECT_TRUE(manager.Close(*pinned).ok());
+}
+
 TEST(ServerTest, SocketRoundTripOverUnixSocket) {
   ServerOptions options;
   options.unix_path = "/tmp/falcon_service_test.sock";

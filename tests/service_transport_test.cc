@@ -46,6 +46,25 @@ JsonValue ReadResponse(LineChannel& channel) {
   return parsed.ok() ? *parsed : JsonValue::Object();
 }
 
+// Sends `line` (one blocking request) on `fd` and returns once it is
+// provably executing: in flight, not merely queued or still unread in the
+// socket. The worker drops a request's in-flight count only after handing
+// off its reply, so the client can hold the previous reply while that
+// request still counts as in flight; waiting for the server to go idle
+// first keeps that stale count from passing for this request.
+void SendAndWaitInflight(const CleaningServer& server, int fd,
+                         const std::string& line) {
+  for (int i = 0; i < 50000 && (server.inflight_requests() != 0 ||
+                                server.queued_requests() != 0);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  SendAll(fd, line);
+  for (int i = 0; i < 50000 && server.inflight_requests() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
 TEST(ServiceTransportTest, PartialLineAcrossManyReadsIsReassembled) {
   ServerOptions options;
   options.unix_path = "/tmp/falcon_transport_partial_test.sock";
@@ -194,14 +213,11 @@ TEST(ServiceTransportTest, RetryAfterHintScalesWithQueueDepth) {
   JsonValue opened = ReadResponse(chan_a);
   ASSERT_TRUE(opened.GetBool("ok")) << opened.Serialize();
   std::string id = opened.GetString("session");
-  SendAll(fd_a, "{\"verb\":\"step\",\"session\":\"" + id +
-                    "\",\"episodes\":0}\n");
-  // Wait until the step is provably executing (not merely queued, not
-  // still unread in the socket): from here until it finishes the single
-  // worker cannot drain pings.
-  for (int i = 0; i < 50000 && server.inflight_requests() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  // From here until the step finishes the single worker cannot drain
+  // pings.
+  SendAndWaitInflight(server, fd_a,
+                      "{\"verb\":\"step\",\"session\":\"" + id +
+                          "\",\"episodes\":0}\n");
   ASSERT_EQ(server.inflight_requests(), 1u);
   ASSERT_EQ(server.queued_requests(), 0u);
 
@@ -265,11 +281,9 @@ TEST(ServiceTransportTest, StopResolvesQueuedRequestsWithUnavailable) {
   JsonValue opened = ReadResponse(chan_a);
   ASSERT_TRUE(opened.GetBool("ok")) << opened.Serialize();
   std::string id = opened.GetString("session");
-  SendAll(fd_a, "{\"verb\":\"step\",\"session\":\"" + id +
-                    "\",\"episodes\":0}\n");
-  for (int i = 0; i < 50000 && server.inflight_requests() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  SendAndWaitInflight(server, fd_a,
+                      "{\"verb\":\"step\",\"session\":\"" + id +
+                          "\",\"episodes\":0}\n");
   ASSERT_EQ(server.inflight_requests(), 1u);
   ASSERT_EQ(server.queued_requests(), 0u);
 

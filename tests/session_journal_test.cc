@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/fault_injector.h"
 #include "common/rng.h"
 #include "datagen/datasets.h"
@@ -244,6 +245,43 @@ TEST(SessionJournalTest, TableContentsCrcTracksCellEdits) {
   EXPECT_EQ(TableContentsCrc(copy), dirty_crc);
   copy.SetCellText(0, 0, "something else");
   EXPECT_NE(TableContentsCrc(copy), dirty_crc);
+}
+
+// Journals written by earlier builds carry these values in their kStart and
+// kCheckpoint records, and recovery compares them against the replayed
+// table: the CRC must not change across versions or SIMD tiers.
+TEST(SessionJournalTest, TableContentsCrcIsPinned) {
+  DrugExample ex = MakeDrugExample();
+  EXPECT_EQ(TableContentsCrc(ex.dirty), 0x57C9C62Au);
+  EXPECT_EQ(TableContentsCrc(ex.clean), 0x0BEF0B90u);
+}
+
+TEST(SessionJournalTest, TableContentsCrcMatchesCellByCellDefinition) {
+  // Texts from empty to well past any internal hashing chunk, so cells
+  // land on every side of a chunk boundary.
+  Table table("t", Schema({"a", "b", "c"}));
+  Rng rng(99);
+  for (size_t r = 0; r < 200; ++r) {
+    std::vector<std::string> row;
+    for (size_t c = 0; c < 3; ++c) {
+      size_t len =
+          rng.NextUint(10) == 0 ? rng.NextUint(9000) : rng.NextUint(40);
+      row.emplace_back(len, static_cast<char>('a' + rng.NextUint(26)));
+    }
+    table.AppendRow(row);
+  }
+  // The definition: per cell in row-major order, the 4-byte length in
+  // native byte order, then the text.
+  uint32_t want = 0;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_cols(); ++c) {
+      std::string_view text = table.CellText(r, c);
+      uint32_t len = static_cast<uint32_t>(text.size());
+      want = Crc32cExtend(want, &len, 4);
+      want = Crc32cExtend(want, text.data(), text.size());
+    }
+  }
+  EXPECT_EQ(TableContentsCrc(table), want);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tier-equivalence tests for the runtime-dispatched SIMD kernels, plus the
-// serial-vs-batched equivalence of the EnsureCounts cost model that sits on
-// top of them. Every kernel is a pure function and every tier must return
-// bit-identical results (see common/simd.h); these tests compare each tier
+// Tier-equivalence tests for the runtime-dispatched SIMD kernels (CRC32C
+// included), plus the serial-vs-batched equivalence of the EnsureCounts
+// cost model that sits on top of them. Every kernel is a pure function and
+// every tier must return bit-identical results (see common/simd.h); these tests compare each tier
 // the CPU can execute against the scalar reference on randomized inputs
 // whose cardinalities deliberately straddle the container promotion
 // boundary (4095 / 4096 / 4097) and the merge-vs-gallop crossover ratios.
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/lattice.h"
@@ -215,6 +216,42 @@ TEST(SimdKernelTest, ArrayBitmapCountMatchesScalarAcrossTiers) {
                   scalar->array_bitmap_count(vals.data(), card, bits.data()))
             << simd::LevelName(level) << " card=" << card
             << " depth=" << depth;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, Crc32cMatchesScalarAcrossTiers) {
+  const Kernels* scalar = simd::TableFor(Level::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  std::vector<std::pair<Level, const Kernels*>> tiers = {
+      {Level::kScalar, scalar}};
+  for (Level level : VectorTiers()) {
+    tiers.emplace_back(level, simd::TableFor(level));
+  }
+  std::mt19937_64 rng(2718);
+  std::vector<unsigned char> buf(300 + 8);
+  for (const auto& [level, k] : tiers) {
+    // RFC 3720 check value.
+    EXPECT_EQ(k->crc32c_extend(0, "123456789", 9), 0xE3069283u)
+        << simd::LevelName(level);
+    // Every length 0..300 at every start alignment, from a random running
+    // CRC, one-shot and split into two chained calls.
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+      for (size_t len = 0; len <= 300; ++len) {
+        const unsigned char* p = buf.data() + offset;
+        auto crc = static_cast<uint32_t>(rng());
+        uint32_t want = scalar->crc32c_extend(crc, p, len);
+        size_t split = rng() % (len + 1);
+        EXPECT_EQ(k->crc32c_extend(crc, p, len), want)
+            << simd::LevelName(level) << " offset=" << offset
+            << " len=" << len;
+        EXPECT_EQ(k->crc32c_extend(k->crc32c_extend(crc, p, split),
+                                   p + split, len - split),
+                  want)
+            << simd::LevelName(level) << " offset=" << offset
+            << " len=" << len << " split=" << split;
       }
     }
   }
