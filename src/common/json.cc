@@ -33,7 +33,7 @@ std::string JsonValue::GetString(std::string_view key,
 
 int64_t JsonValue::GetInt(std::string_view key, int64_t def) const {
   const JsonValue* v = Find(key);
-  return v != nullptr && v->is_number() ? v->AsInt() : def;
+  return v != nullptr && v->is_number() ? v->AsInt(def) : def;
 }
 
 double JsonValue::GetDouble(std::string_view key, double def) const {
@@ -100,6 +100,10 @@ void SerializeTo(const JsonValue& v, std::string& out) {
       double d = v.AsDouble();
       if (!std::isfinite(d)) {
         out += "null";  // JSON has no Inf/NaN; null is the least-bad lie.
+        break;
+      }
+      if (d == 0.0 && std::signbit(d)) {
+        out += "-0.0";  // "-0" would read back as the integer 0.
         break;
       }
       // Shortest representation that round-trips: 17 digits always do, but

@@ -61,7 +61,10 @@ class JsonValue {
   }
   int64_t AsInt(int64_t def = 0) const {
     if (type_ == Type::kInt) return int_;
-    if (type_ == Type::kDouble) return static_cast<int64_t>(double_);
+    // A NaN or out-of-range double has no int64 value (casting it is UB).
+    if (type_ == Type::kDouble && double_ >= -0x1p63 && double_ < 0x1p63) {
+      return static_cast<int64_t>(double_);
+    }
     return def;
   }
   double AsDouble(double def = 0.0) const {

@@ -48,6 +48,18 @@ StatusOr<SpecField::Dist> ParseDist(const std::string& s) {
   return Status::InvalidArgument("unknown field dist \"" + s + "\"");
 }
 
+/// Reads the count `key` of `obj` (`def` when absent). A negative count is
+/// rejected rather than wrapped to a size near 2^64.
+StatusOr<size_t> Count(const JsonValue& obj, std::string_view key,
+                       int64_t def) {
+  int64_t v = obj.GetInt(key, def);
+  if (v < 0) {
+    return Status::InvalidArgument(std::string(key) +
+                                   " must not be negative");
+  }
+  return static_cast<size_t>(v);
+}
+
 StatusOr<std::vector<std::string>> StringArray(const JsonValue& v,
                                                const char* what) {
   if (!v.is_array() || v.items().empty()) {
@@ -93,7 +105,7 @@ StatusOr<GeneratorSpec> GeneratorSpec::FromJson(const JsonValue& json) {
     }
     FALCON_ASSIGN_OR_RETURN(field.dist,
                             ParseDist(f.GetString("dist", "uniform")));
-    field.domain = static_cast<size_t>(f.GetInt("domain", 10));
+    FALCON_ASSIGN_OR_RETURN(field.domain, Count(f, "domain", 10));
     // Zipf defaults to the classic exponent; dictionaries default to
     // uniform draws unless a skew is spelled out.
     field.skew = f.GetDouble(
@@ -125,10 +137,10 @@ StatusOr<GeneratorSpec> GeneratorSpec::FromJson(const JsonValue& json) {
     if (!errors->is_object()) {
       return Status::InvalidArgument("errors must be a JSON object");
     }
-    spec.errors.format_patterns =
-        static_cast<size_t>(errors->GetInt("format_patterns", 0));
-    spec.errors.random_errors =
-        static_cast<size_t>(errors->GetInt("random_errors", 0));
+    FALCON_ASSIGN_OR_RETURN(spec.errors.format_patterns,
+                            Count(*errors, "format_patterns", 0));
+    FALCON_ASSIGN_OR_RETURN(spec.errors.random_errors,
+                            Count(*errors, "random_errors", 0));
     spec.errors.seed = static_cast<uint64_t>(errors->GetInt("seed", 1));
     if (const JsonValue* rules = errors->Find("rules"); rules != nullptr) {
       if (!rules->is_array()) {
@@ -148,9 +160,9 @@ StatusOr<GeneratorSpec> GeneratorSpec::FromJson(const JsonValue& json) {
         if (rule.rhs.empty()) {
           return Status::InvalidArgument("rule missing rhs");
         }
-        rule.patterns = static_cast<size_t>(r.GetInt("patterns", 1));
-        rule.errors_per_pattern =
-            static_cast<size_t>(r.GetInt("errors_per_pattern", 10));
+        FALCON_ASSIGN_OR_RETURN(rule.patterns, Count(r, "patterns", 1));
+        FALCON_ASSIGN_OR_RETURN(rule.errors_per_pattern,
+                                Count(r, "errors_per_pattern", 10));
         spec.errors.rules.push_back(std::move(rule));
       }
     }
@@ -160,10 +172,10 @@ StatusOr<GeneratorSpec> GeneratorSpec::FromJson(const JsonValue& json) {
     if (!append->is_object()) {
       return Status::InvalidArgument("append must be a JSON object");
     }
-    spec.append.batches =
-        static_cast<size_t>(append->GetInt("batches", 0));
-    spec.append.rows_per_batch =
-        static_cast<size_t>(append->GetInt("rows_per_batch", 0));
+    FALCON_ASSIGN_OR_RETURN(spec.append.batches,
+                            Count(*append, "batches", 0));
+    FALCON_ASSIGN_OR_RETURN(spec.append.rows_per_batch,
+                            Count(*append, "rows_per_batch", 0));
     spec.append.error_rate = append->GetDouble("error_rate", 0.0);
     if (spec.append.error_rate < 0.0 || spec.append.error_rate > 1.0) {
       return Status::InvalidArgument("append.error_rate must be in [0, 1]");

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,11 +52,29 @@ double CorrelationScore(const Table& table, const std::vector<size_t>& x_cols,
 double ChiSquared(const Table& table, const std::vector<size_t>& cols,
                   const CorrelationOptions& options = {});
 
+// A column's sampled cells as dense value codes (see correlation.cc).
+struct CodedColumn;
+
 /// Caching profiler used by lattice construction (partial materialization)
 /// and by the CoDive search strategy.
+///
+/// Scores are cached per (X, B) and never recomputed, as the paper profiles
+/// once per session. A cache miss counts joint values over the CORDS sample,
+/// which the profiler keeps as a column-major snapshot: the sampled row ids
+/// (the same evenly strided rows the free functions visit) and, for each
+/// column a miss has touched, a copy of that column's sampled cells as
+/// dense value codes. A column's copy is refreshed when
+/// `Table::column_writes` shows the column was written after the copy was
+/// taken, and every copy is dropped and the rows are re-sampled when
+/// `num_rows()` changes. So a miss always scores the table as it is now,
+/// bit for bit what `CorrelationScore` returns on it, while reading only
+/// cache-resident cells. When the sample is the whole table
+/// (`max_sample_rows == 0` or `num_rows() <= max_sample_rows`) a miss reads
+/// `Table::column` directly and the profiler keeps no copy.
 class CordsProfiler {
  public:
   explicit CordsProfiler(const Table* table, CorrelationOptions options = {});
+  ~CordsProfiler();
 
   /// cor({a}, b): pairwise correlation, cached.
   double PairCorrelation(size_t a_col, size_t b_col);
@@ -70,11 +89,29 @@ class CordsProfiler {
   const CorrelationOptions& options() const { return options_; }
 
  private:
+  // One column's sampled cells, kept when the sample is a strict subset.
+  struct SnapshotColumn {
+    std::unique_ptr<CodedColumn> cells;
+    uint64_t writes = 0;  // Table::column_writes when `cells` was taken.
+  };
+
+  // Scores cor(x_cols, b_col) on the current table (a cache miss).
+  double Score(const std::vector<size_t>& x_cols, size_t b_col);
+  // The sampled cells of `col`, refreshed if the column changed since.
+  const CodedColumn* SampleColumn(size_t col);
+
   const Table* table_;
   CorrelationOptions options_;
   std::vector<double> distinct_ratio_;  // Lazily computed key detector.
   std::map<std::pair<size_t, size_t>, double> pair_cache_;
   std::map<std::pair<std::vector<size_t>, size_t>, double> set_cache_;
+
+  // The sample snapshot. `sampled_num_rows_` is the num_rows() it was drawn
+  // from (SIZE_MAX before the first miss); `sample_rows_` is empty when the
+  // sample is the whole table.
+  size_t sampled_num_rows_ = SIZE_MAX;
+  std::vector<uint32_t> sample_rows_;
+  std::vector<SnapshotColumn> snapshot_;
 };
 
 }  // namespace falcon

@@ -27,6 +27,7 @@ Table::Table(std::string name, Schema schema, std::shared_ptr<ValuePool> pool)
   for (size_t c = 0; c < schema_.arity(); ++c) {
     columns_.push_back(std::make_shared<Column>());
   }
+  column_writes_.assign(schema_.arity(), 0);
 }
 
 void Table::DetachColumn(size_t col) {

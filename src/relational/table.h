@@ -80,6 +80,14 @@ class Table {
     return *columns_[col];
   }
 
+  /// Write counter of `col`: it grows with every write to the column through
+  /// this object's mutating API (cell writes, appends, reserves), so a
+  /// reader that kept a copy of some of the column's cells together with
+  /// this value knows the copy is current while the value is unchanged.
+  /// The counter is per object: a Clone starts its own at zero, and
+  /// assigning another Table into this one is not a tracked write.
+  uint64_t column_writes(size_t col) const { return column_writes_[col]; }
+
   /// Interns a value in this table's pool.
   ValueId Intern(std::string_view s) { return pool_->Intern(s); }
 
@@ -128,7 +136,10 @@ class Table {
   /// the column is shared with another snapshot. use_count()==1 proves sole
   /// ownership: any thread that could still read through another reference
   /// must itself hold one, which would keep the count above one.
+  /// Every write path goes through here, which is what makes
+  /// column_writes() exact.
   Column& MutableColumn(size_t col) {
+    ++column_writes_[col];
     if (columns_[col].use_count() != 1) DetachColumn(col);
     return *columns_[col];
   }
@@ -138,6 +149,7 @@ class Table {
   Schema schema_;
   std::shared_ptr<ValuePool> pool_;
   std::vector<std::shared_ptr<Column>> columns_;
+  std::vector<uint64_t> column_writes_;  // See column_writes().
   size_t num_rows_ = 0;
 };
 

@@ -1,8 +1,8 @@
-// Randomized reference differential: the default CoDive session (lazy
-// lattice, compressed row sets, incremental maintenance, posting index)
-// must behave exactly like the simple reference path — eager dense
-// lattices rebuilt after every applied rule and no posting index — on
-// seeded random GeneratorSpec workloads. "Exactly" means the same
+// Randomized reference differential: the default session (lazy lattice,
+// compressed row sets, incremental maintenance, posting index) must behave
+// exactly like the simple reference path — eager dense lattices rebuilt
+// after every applied rule and no posting index — on seeded random
+// GeneratorSpec workloads, for CoDive and for the Dive and DFS searches. "Exactly" means the same
 // questions in the same order (node, target column, verdict), the same
 // user cost U and A, the same final table, and convergence to the clean
 // instance. Every derived spec column is an exact function of its parents,
@@ -100,7 +100,7 @@ struct Outcome {
   std::vector<RecordingOracle::Asked> asked;
 };
 
-Outcome RunSession(const CleaningWorkload& w, bool reference,
+Outcome RunSession(const CleaningWorkload& w, SearchKind kind, bool reference,
                    uint64_t seed) {
   SessionOptions options;
   options.seed = seed;
@@ -113,7 +113,7 @@ Outcome RunSession(const CleaningWorkload& w, bool reference,
   RecordingOracle oracle(&w.clean, seed);
   options.oracle = &oracle;
   Table working = w.dirty.Clone();
-  auto algorithm = MakeSearchAlgorithm(SearchKind::kCoDive);
+  auto algorithm = MakeSearchAlgorithm(kind);
   CleaningSession session(&w.clean, &working, algorithm.get(), options);
   auto m = session.Run();
   EXPECT_TRUE(m.ok()) << m.status().message();
@@ -125,19 +125,19 @@ Outcome RunSession(const CleaningWorkload& w, bool reference,
   return out;
 }
 
-TEST(ReferenceDifferentialTest, DefaultSessionMatchesReferenceOnRandomSpecs) {
+void CheckMatchesReferenceOnRandomSpecs(SearchKind kind) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     GeneratorSpec spec = RandomSpec(seed);
-    SCOPED_TRACE("spec seed " + std::to_string(seed) + ", " +
-                 std::to_string(spec.rows) + " rows, " +
-                 std::to_string(spec.fields.size()) + " fields");
+    SCOPED_TRACE(std::string(SearchKindName(kind)) + ", spec seed " +
+                 std::to_string(seed) + ", " + std::to_string(spec.rows) +
+                 " rows, " + std::to_string(spec.fields.size()) + " fields");
     auto sw = MakeSpecWorkload(spec);
     ASSERT_TRUE(sw.ok()) << sw.status().message();
     const CleaningWorkload& w = sw->workload;
     ASSERT_GT(w.dirty.CountDiffCells(w.clean), 0u);
 
-    Outcome fast = RunSession(w, /*reference=*/false, 100 + seed);
-    Outcome ref = RunSession(w, /*reference=*/true, 100 + seed);
+    Outcome fast = RunSession(w, kind, /*reference=*/false, 100 + seed);
+    Outcome ref = RunSession(w, kind, /*reference=*/true, 100 + seed);
 
     EXPECT_TRUE(ref.metrics.converged);
     EXPECT_EQ(ref.diff_to_clean, 0u);
@@ -154,6 +154,21 @@ TEST(ReferenceDifferentialTest, DefaultSessionMatchesReferenceOnRandomSpecs) {
     // per-cell fixes.
     EXPECT_GT(ref.metrics.user_answers, 0u);
   }
+}
+
+TEST(ReferenceDifferentialTest, DefaultSessionMatchesReferenceOnRandomSpecs) {
+  CheckMatchesReferenceOnRandomSpecs(SearchKind::kCoDive);
+}
+
+// Dive and DFS search lattices built from the pairwise TopK ranking but
+// never ask for set correlations, so they cover search paths CoDive does
+// not take.
+TEST(ReferenceDifferentialTest, DiveMatchesReferenceOnRandomSpecs) {
+  CheckMatchesReferenceOnRandomSpecs(SearchKind::kDive);
+}
+
+TEST(ReferenceDifferentialTest, DfsMatchesReferenceOnRandomSpecs) {
+  CheckMatchesReferenceOnRandomSpecs(SearchKind::kDfs);
 }
 
 }  // namespace
