@@ -17,6 +17,12 @@
 //      tables with identical interaction metrics;
 //  (5) per-update latency across table sizes (the Fig. 8(b,c) axis).
 //
+// Each size also records peak_rss_mb, the process's resident high-water
+// mark (getrusage) after that size's phases. With (2)-(3) on it is set by
+// the full posting builds, whose pass 2 holds one dense bitmap per value
+// (~6 GB at 10M rows); --posting_builds=false skips them, so the mark
+// then shows the generator and the twin sessions, lattice nodes included.
+//
 // Emits BENCH_fig8_scalability.json; exit code 1 if any identity gate
 // (generator determinism, posting digest, twin CRC/metrics) fails.
 #include <algorithm>
@@ -28,6 +34,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_util.h"
 
@@ -46,6 +54,13 @@ double NowMs() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// Peak resident set of this process so far, in MiB (ru_maxrss is KiB).
+double PeakRssMb() {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 // The default workload spec, parameterized by table size. Domains scale
@@ -252,6 +267,9 @@ int main(int argc, char** argv) {
       flags.GetString("sizes", quick ? "1000000" : "1000000,10000000");
   std::string spec_path = flags.GetString("spec", "");
   size_t episodes = static_cast<size_t>(flags.GetInt("episodes", 3));
+  bool posting_builds = flags.GetBool(
+      "posting_builds", true,
+      "run the full posting-build and append-vs-rebuild phases");
   std::string out_path =
       flags.GetString("out", "BENCH_fig8_scalability.json");
   if (auto rc = flags.Done(
@@ -262,6 +280,7 @@ int main(int argc, char** argv) {
           "  --spec=<path>    JSON GeneratorSpec overriding the built-in "
           "workload\n"
           "  --episodes=<n>   episodes before and after the append phase\n"
+          "  --posting_builds=<bool>  run phases (2)-(3) (default true)\n"
           "  --out=<path>     output JSON path")) {
     return *rc;
   }
@@ -362,7 +381,7 @@ int main(int argc, char** argv) {
     // ---- (2) serial-vs-parallel posting build identity --------------------
     std::vector<size_t> bounded = BoundedColumns(sw.workload.dirty);
     JsonValue build_json = JsonValue::Object();
-    {
+    if (posting_builds) {
       uint64_t serial_digest = 0;
       bool identical = true;
       double serial_ms = 0.0, parallel_ms = 0.0;
@@ -403,7 +422,7 @@ int main(int argc, char** argv) {
       std::printf("parallel build identical to serial: %s\n",
                   identical ? "yes" : "NO");
     }
-    entry.Set("posting_build", std::move(build_json));
+    if (posting_builds) entry.Set("posting_build", std::move(build_json));
 
     // ---- pre-generate the append schedule's chunks ------------------------
     std::vector<SpecAppendChunk> chunks;
@@ -421,7 +440,7 @@ int main(int argc, char** argv) {
     }
 
     // ---- (3) append-vs-rebuild A/B over a warm posting index --------------
-    {
+    if (posting_builds) {
       Table inc_table = sw.workload.dirty.Clone();
       Table reb_table = sw.workload.dirty.Clone();
       PostingIndexOptions posting_opts;
@@ -510,6 +529,8 @@ int main(int argc, char** argv) {
                   per_update_ms, lattices);
     }
 
+    entry.Set("peak_rss_mb", PeakRssMb());
+    std::printf("peak RSS so far: %.1f MiB\n", PeakRssMb());
     size_results.Append(std::move(entry));
   }
   doc.Set("sizes", std::move(size_results));

@@ -13,10 +13,18 @@
 //  3. Full cleaning sessions lazy vs. eager: the determinism gate. All
 //     interaction metrics must be bit-identical; the lazy run must report
 //     nodes_materialized < nodes_total.
+//  4. Maintenance (Fig. 8a's shape): the same CoDive session with the
+//     incremental Case 1-3 maintenance and with the naive rebuild of every
+//     affected set after each applied rule, reported as lattice maintenance
+//     ms per user update. Both run the eager lattice, so each maintains or
+//     rebuilds every node, as in the paper (a lazy naive rebuild would
+//     only drop its caches and pay the rebuild later, outside the
+//     maintenance timer). U and A must be equal.
 //
 // Emits BENCH_micro_lattice.json. Exit code 1 when the determinism gate
-// fails or the lazy path degenerates to full materialization. Default 500k
-// rows; --quick shrinks to 50k for CI smoke, --scale=<f> multiplies rows.
+// fails, the lazy path degenerates to full materialization, or the two
+// maintenance runs disagree on U/A. Default 500k rows; --quick shrinks to
+// 50k for CI smoke, --scale=<f> multiplies rows.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -89,14 +97,17 @@ struct SessionResult {
 };
 
 SessionResult RunSession(const std::string& name, const Table& clean,
-                         const Table& dirty, bool lazy) {
+                         const Table& dirty, bool lazy,
+                         SearchKind kind = SearchKind::kDive,
+                         bool naive_maintenance = false) {
   SessionOptions options;
   options.budget = 1000;  // Effectively unbounded (Fig. 8 setting).
   options.max_updates = 40;
   options.lattice_attrs = 10;
   options.lattice.lazy = lazy;
+  options.naive_maintenance = naive_maintenance;
   double t0 = NowMs();
-  auto m = RunCleaning(clean, dirty, SearchKind::kDive, options);
+  auto m = RunCleaning(clean, dirty, kind, options);
   SessionResult r;
   r.name = name;
   r.wall_ms = NowMs() - t0;
@@ -285,6 +296,29 @@ int main(int argc, char** argv) {
     std::printf("LAZY PATH DEGENERATED: nodes_materialized == nodes_total\n");
   }
 
+  // --- Maintenance: incremental vs naive rebuild (Fig. 8a) -----------------
+  SessionResult inc_run =
+      RunSession("incremental", clean, dirty, /*lazy=*/false,
+                 SearchKind::kCoDive, /*naive_maintenance=*/false);
+  SessionResult naive_run =
+      RunSession("naive", clean, dirty, /*lazy=*/false, SearchKind::kCoDive,
+                 /*naive_maintenance=*/true);
+  auto per_update = [](const SessionResult& r) {
+    return r.metrics.lattice_maintain_ms /
+           static_cast<double>(std::max<size_t>(1, r.metrics.user_updates));
+  };
+  double inc_per_update = per_update(inc_run);
+  double naive_per_update = per_update(naive_run);
+  bool maintenance_same_ua =
+      inc_run.metrics.user_updates == naive_run.metrics.user_updates &&
+      inc_run.metrics.user_answers == naive_run.metrics.user_answers;
+  std::printf("\nmaintenance (CoDive, U=%zu A=%zu): incremental %.3f ms/update"
+              "  naive %.3f ms/update  (%.1fx); U/A %s\n",
+              inc_run.metrics.user_updates, inc_run.metrics.user_answers,
+              inc_per_update, naive_per_update,
+              naive_per_update / std::max(inc_per_update, 1e-9),
+              maintenance_same_ua ? "equal" : "DIFFER");
+
   FILE* f = std::fopen("BENCH_micro_lattice.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"micro_lattice\",\n  \"rows\": %zu,\n",
@@ -319,14 +353,26 @@ int main(int argc, char** argv) {
                  "  \"lazy_ratio\": %.4f,\n"
                  "  \"lattice_build_ms\": {\"lazy\": %.3f, \"eager\": %.3f},\n"
                  "  \"build_speedup\": %.2f,\n"
-                 "  \"session_build_speedup\": %.2f\n}\n",
+                 "  \"session_build_speedup\": %.2f,\n",
                  identical ? "true" : "false",
                  actually_lazy ? "true" : "false", lazy_ratio,
                  lazy_run.metrics.lattice_build_ms,
                  eager_run.metrics.lattice_build_ms, build_speedup,
                  session_build_speedup);
+    std::fprintf(f,
+                 "  \"maintenance\": {\"algorithm\": \"CoDive\", "
+                 "\"user_updates\": %zu, \"user_answers\": %zu, "
+                 "\"naive_user_updates\": %zu, \"naive_user_answers\": %zu, "
+                 "\"incremental_ms_per_update\": %.4f, "
+                 "\"naive_ms_per_update\": %.4f, \"same_ua\": %s}\n}\n",
+                 inc_run.metrics.user_updates, inc_run.metrics.user_answers,
+                 naive_run.metrics.user_updates,
+                 naive_run.metrics.user_answers, inc_per_update,
+                 naive_per_update, maintenance_same_ua ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_micro_lattice.json\n");
   }
-  return (identical && actually_lazy && counts_match) ? 0 : 1;
+  return (identical && actually_lazy && counts_match && maintenance_same_ua)
+             ? 0
+             : 1;
 }

@@ -2,7 +2,7 @@
 // invalidate-and-rescan mode on the lattice hot path, at Fig-8 scalability
 // sizes. Three sections:
 //
-//  1. Raw scan-kernel throughput (ScanEquals / ScanEqualsMulti).
+//  1. Raw scan-kernel throughput (ScanEquals).
 //  2. Steady-state hot loop: repeated lattice rebuild + apply on one repair
 //     attribute with a warm cache (the regime an interactive session settles
 //     into). The index-path time (scan + delta maintenance, measured by the
@@ -31,7 +31,7 @@
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/hybrid_row_set.h"
+#include "common/compressed_row_set.h"
 #include "core/lattice.h"
 #include "core/session.h"
 #include "core/session_journal.h"
@@ -173,12 +173,13 @@ struct KernelPair {
 // `sink` defeats dead-code elimination.
 KernelPair TimeAndCount(const RowSet& a, const RowSet& b, size_t reps,
                         size_t* sink) {
-  HybridRowSet da(a), db(b), ca(a), cb(b);
-  ca.EnsureCompressed();
-  cb.EnsureCompressed();
+  CompressedRowSet ca = CompressedRowSet::FromDense(a);
+  CompressedRowSet cb = CompressedRowSet::FromDense(b);
+  ca.RunOptimize();
+  cb.RunOptimize();
   KernelPair r;
   double t0 = NowNs();
-  for (size_t i = 0; i < reps; ++i) *sink += da.AndCount(db);
+  for (size_t i = 0; i < reps; ++i) *sink += a.AndCount(b);
   r.dense_ns = (NowNs() - t0) / static_cast<double>(reps);
   t0 = NowNs();
   for (size_t i = 0; i < reps; ++i) *sink += ca.AndCount(cb);
@@ -423,13 +424,7 @@ int main(int argc, char** argv) {
     for (ValueId p : probes) seen |= (p == v);
     if (!seen) probes.push_back(v);
   }
-  double k2 = NowMs();
-  std::vector<RowSet> multi = dirty.ScanEqualsMulti(1, probes);
-  double multi_ms = NowMs() - k2;
-  double multi_per_value_ms = multi_ms / static_cast<double>(probes.size());
-  std::printf("kernels: ScanEquals %.3f ms; ScanEqualsMulti %.3f ms for %zu "
-              "values (%.3f ms/value, %zu hits on probe)\n",
-              scan_ms, multi_ms, probes.size(), multi_per_value_ms,
+  std::printf("kernels: ScanEquals %.3f ms (%zu hits on probe)\n", scan_ms,
               single.Count());
 
   // --- Steady-state hot loop ------------------------------------------------
@@ -625,10 +620,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"meta\": %s,\n",
                  bench::BenchMeta().Serialize().c_str());
     std::fprintf(f,
-                 "  \"kernels\": {\"scan_equals_ms\": %.3f, "
-                 "\"scan_multi_values\": %zu, \"scan_multi_ms\": %.3f, "
-                 "\"scan_multi_per_value_ms\": %.3f},\n",
-                 scan_ms, probes.size(), multi_ms, multi_per_value_ms);
+                 "  \"kernels\": {\"scan_equals_ms\": %.3f},\n", scan_ms);
     std::fprintf(f,
                  "  \"hot_loop\": {\"iters\": %zu, "
                  "\"delta_index_ms\": %.3f, \"invalidate_index_ms\": %.3f, "

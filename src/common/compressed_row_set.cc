@@ -25,7 +25,7 @@ uint64_t MulPrimePow(uint64_t h, size_t n) {
 
 // Popcount / fused |a ∩ b| over word ranges — routed through the
 // runtime-dispatched SIMD tier (AVX-512 VPOPCNTDQ / AVX2 PSHUFB popcount /
-// scalar fallback). These two kernels dominate the lattice counting path.
+// scalar fallback). These two kernels dominate bitmap-container counting.
 size_t PopcountWords(const uint64_t* w, size_t n) {
   return simd::PopcountWords(w, n);
 }

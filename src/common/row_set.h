@@ -1,13 +1,14 @@
 // RowSet: a fixed-universe dynamic bitmap over table row ids. This is the
-// workhorse representation for query affected-sets in the lattice: node sets
-// are built by ANDing per-predicate posting bitmaps, and incremental lattice
-// maintenance is a single AND-NOT per node.
+// representation of every lattice node and predicate bitmap: node sets are
+// built by ANDing per-predicate posting bitmaps, and incremental lattice
+// maintenance is one AND-NOT per node over the words a repair touched.
 #ifndef FALCON_COMMON_ROW_SET_H_
 #define FALCON_COMMON_ROW_SET_H_
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -112,6 +113,23 @@ class RowSet {
   void AndNot(const RowSet& other) {
     FALCON_DCHECK(universe_size_ == other.universe_size_);
     simd::AndNotWords(words_.data(), other.words_.data(), words_.size());
+  }
+
+  /// this &= ~other over the listed words only, returning how many bits it
+  /// cleared (|this ∩ other| within those words). When `words` lists every
+  /// nonzero word of `other`, this is AndNot plus the AndCount taken before
+  /// it, at a cost proportional to the list instead of the universe — the
+  /// lattice maintains each node over just the words a repair touched.
+  size_t AndNotCountAt(const RowSet& other, std::span<const uint32_t> words) {
+    FALCON_DCHECK(universe_size_ == other.universe_size_);
+    size_t cleared = 0;
+    for (uint32_t i : words) {
+      FALCON_DCHECK(i < words_.size());
+      uint64_t hit = words_[i] & other.words_[i];
+      cleared += static_cast<size_t>(std::popcount(hit));
+      words_[i] ^= hit;
+    }
+    return cleared;
   }
 
   /// this |= other.

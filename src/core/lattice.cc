@@ -84,7 +84,6 @@ StatusOr<Lattice> Lattice::Build(const Table& table, const Repair& repair,
   lat.index_ = options.naive_init ? nullptr : options.index;
   lat.maintain_index_ = options.maintain_index;
   lat.lazy_ = options.lazy && !options.naive_init;
-  lat.compressed_ = options.compressed && !options.naive_init;
   lat.affected_.resize(n_nodes);
   lat.counts_.assign(n_nodes, kNoCount);
   lat.cached_flag_.assign(n_nodes, 0);
@@ -108,42 +107,24 @@ StatusOr<Lattice> Lattice::Build(const Table& table, const Repair& repair,
 }
 
 void Lattice::InitBottomAndPreds(const Table& table) {
+  // Posting bitmaps come from the posting cache when one was supplied,
+  // copied out dense (the cache may store them compressed); stored by
+  // value, since posting references can be invalidated or evicted while
+  // the lattice is alive, and ApplyNode must maintain these bitmaps
+  // independently anyway to keep the chain recurrence exact after repairs.
+  auto posting = [&](size_t col, ValueId v) {
+    return index_ != nullptr ? index_->Postings(col, v).ToDense()
+                             : table.ScanEquals(col, v);
+  };
   // Bottom node: rows whose target value differs from a' (rows any
   // candidate query could change) — the complement of the target value's
   // posting bitmap, so a cached posting makes this scan-free.
-  if (index_ != nullptr) {
-    affected_[0] = index_->Postings(repair_.col, target_value_).Complement();
-  } else {
-    affected_[0] = HybridRowSet(
-        table.ScanEquals(repair_.col, target_value_).Complement());
-  }
-
-  // Per-attribute posting bitmaps for the bound predicate constants,
-  // served from the posting cache when one was supplied. Stored by value:
-  // posting references can be invalidated or evicted while the lattice is
-  // alive, and ApplyNode must maintain these bitmaps independently anyway
-  // to keep the chain recurrence exact after repairs.
+  affected_[0] = posting(repair_.col, target_value_).Complement();
+  // Per-attribute predicate bitmaps for the bound predicate constants.
   preds_.clear();
   preds_.reserve(cols_.size());
   for (size_t i = 0; i < cols_.size(); ++i) {
-    if (index_ != nullptr) {
-      preds_.push_back(index_->Postings(cols_[i], bindings_[i]));
-    } else {
-      preds_.push_back(HybridRowSet(table.ScanEquals(cols_[i], bindings_[i])));
-    }
-  }
-
-  // Representation policy: compressed mode compacts every bitmap by its
-  // measured density; dense mode forces dense storage even when a
-  // compressed posting index handed over compressed copies. Either way
-  // the lattice's storage depends only on its own option, so the A/B
-  // switch composes freely with both posting modes.
-  if (compressed_) {
-    affected_[0].Compact(affected_[0].Count());
-    for (HybridRowSet& p : preds_) p.Compact(p.Count());
-  } else {
-    affected_[0].EnsureDense();
-    for (HybridRowSet& p : preds_) p.EnsureDense();
+    preds_.push_back(posting(cols_[i], bindings_[i]));
   }
 }
 
@@ -153,9 +134,7 @@ void Lattice::EagerChain() {
   for (NodeId m = 1; m < num_nodes(); ++m) {
     NodeId parent = m & (m - 1);
     int bit = std::countr_zero(m);
-    size_t count =
-        affected_[m].AssignAnd(affected_[parent], preds_[static_cast<size_t>(bit)]);
-    if (compressed_) affected_[m].Compact(count);
+    affected_[m].AssignAnd(affected_[parent], preds_[static_cast<size_t>(bit)]);
   }
 }
 
@@ -198,24 +177,21 @@ void Lattice::MarkCached(NodeId m) const {
   }
 }
 
-const HybridRowSet& Lattice::MaterializeBitmap(NodeId m) const {
+const RowSet& Lattice::MaterializeBitmap(NodeId m) const {
   if (materialized(m)) return affected_[m];
   int lo = std::countr_zero(m);
   NodeId parent = m & (m - 1);
-  const HybridRowSet& p = MaterializeBitmap(parent);
+  const RowSet& p = MaterializeBitmap(parent);
   // Fused materialization: one pass writes parent ∧ pred and counts it in
   // registers, so the count below is genuinely free.
   size_t count = affected_[m].AssignAnd(p, preds_[static_cast<size_t>(lo)]);
-  // Record the count (identically in both representations, keeping the
-  // lazy counters aligned) and let the density policy pick the storage.
   if (counts_[m] == kNoCount) counts_[m] = count;
-  if (compressed_) affected_[m].Compact(count);
   MarkCached(m);
   ++nodes_materialized_;
   return affected_[m];
 }
 
-const HybridRowSet& Lattice::AffectedRows(NodeId n) const {
+const RowSet& Lattice::AffectedRows(NodeId n) const {
   return MaterializeBitmap(n);
 }
 
@@ -225,7 +201,7 @@ size_t Lattice::Count(NodeId n) const {
   if (materialized(n)) {
     c = affected_[n].Count();
   } else {
-    const HybridRowSet& p = MaterializeBitmap(n & (n - 1));
+    const RowSet& p = MaterializeBitmap(n & (n - 1));
     c = p.AndCount(preds_[static_cast<size_t>(std::countr_zero(n))]);
     ++fused_count_calls_;
   }
@@ -247,30 +223,18 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
 
   // Cost model. Forking a bucket through the pool pays a fixed handoff
   // while the per-node work is one AND/AndCount walking the parent's
-  // resident words, so estimate the bucket's total word traffic from the
-  // parents' resident footprints (a compressed parent's containers are
-  // what the kernel actually touches) and fork only when every worker
-  // shard clears kMinWordsPerShard. With no workers — or a bucket too
-  // small to feed them — the plain serial loop is strictly faster; it
-  // also skips the std::function indirection ParallelFor would pay even
-  // inline.
+  // words — every parent is dense, so each node charges the table's
+  // logical word count — and a bucket forks only when every worker shard
+  // clears kMinWordsPerShard. With no workers — or a bucket too small to
+  // feed them — the plain serial loop is strictly faster; it also skips
+  // the std::function indirection ParallelFor would pay even inline.
   const size_t workers = ThreadPool::Global().num_threads();
-  const size_t logical_words = (num_table_rows_ + 63) / 64;
-  auto work_words = [&](NodeId m) -> size_t {
-    NodeId p = m & (m - 1);
-    // An unmaterialized parent materializes dense-logical before the
-    // kernel runs, so the logical span is the right (upper-bound) charge.
-    return materialized(p) ? affected_[p].HeapBytes() / sizeof(uint64_t)
-                           : logical_words;
-  };
+  const size_t logical_words = std::max<size_t>(1, (num_table_rows_ + 63) / 64);
   // ParallelFor grain for `bucket`, or 0 to run it serially.
   auto plan_grain = [&](const std::vector<NodeId>& bucket) -> size_t {
     if (workers == 0) return 0;
-    size_t total = 0;
-    for (NodeId m : bucket) total += work_words(m);
-    if (total < 2 * kMinWordsPerShard) return 0;
-    size_t per_node = std::max<size_t>(1, total / bucket.size());
-    return std::max<size_t>(1, kMinWordsPerShard / per_node);
+    if (bucket.size() * logical_words < 2 * kMinWordsPerShard) return 0;
+    return std::max<size_t>(1, kMinWordsPerShard / logical_words);
   };
 
   // Phase 1: materialize every missing ancestor bitmap, level by level
@@ -328,7 +292,6 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
           affected_[m & (m - 1)],
           preds_[static_cast<size_t>(std::countr_zero(m))]);
       if (counts_[m] == kNoCount) counts_[m] = count;
-      if (compressed_) affected_[m].Compact(count);
       MarkCached(m);
       ++nodes_materialized_;
       // Fuse the node's pending children while its bitmap is hot.
@@ -344,14 +307,12 @@ void Lattice::EnsureCounts(const std::vector<NodeId>& nodes) const {
       auto body = [&](size_t b, size_t e) {
         for (size_t i = b; i < e; ++i) {
           NodeId m = level[i];
-          // Mirror MaterializeBitmap: fused materialize-and-count, then
-          // let the density policy pick the storage (disjoint slots, and
-          // Compact depends only on the count — deterministic).
+          // Mirror MaterializeBitmap: fused materialize-and-count into
+          // disjoint slots — deterministic.
           size_t count = affected_[m].AssignAnd(
               affected_[m & (m - 1)],
               preds_[static_cast<size_t>(std::countr_zero(m))]);
           if (counts_[m] == kNoCount) counts_[m] = count;
-          if (compressed_) affected_[m].Compact(count);
           // Fuse the node's pending children while its bitmap is hot.
           fuse_kids(m);
         }
@@ -449,10 +410,9 @@ std::vector<NodeId> Lattice::UnknownNodes() const {
 }
 
 RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
-  // The changed set is consumed as scan-shard scratch (per-row writes,
-  // delta reports, AndNot patches) — export it dense regardless of the
-  // node's storage representation.
-  RowSet changed = AffectedRows(n).ToDense();
+  // A copy: Case 1 below clears the node's own set, and the caller gets
+  // the changed rows back.
+  RowSet changed = AffectedRows(n);
   size_t changed_count = Count(n);
   // Delta-maintain the posting cache while the old values are still in the
   // table: each written row leaves its old value's bitmap and joins the
@@ -483,6 +443,14 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
     });
   }
 
+  // The words holding a repaired row, ascending. Every bit the AND-NOTs
+  // below could clear lies in these words, so maintenance walks only them
+  // instead of the whole universe.
+  std::vector<uint32_t> touched;
+  for (size_t w = 0; w < changed.num_words(); ++w) {
+    if (changed.word(w) != 0) touched.push_back(static_cast<uint32_t>(w));
+  }
+
   // Maintain the predicate bitmaps for attributes over the repaired
   // column: changed rows now hold a', so they leave any other binding's
   // predicate and join a''s. This is what keeps the chain recurrence —
@@ -493,7 +461,7 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
     if (bindings_[i] == target_value_) {
       preds_[i].Or(changed);
     } else {
-      preds_[i].AndNot(changed);
+      preds_[i].AndNotCountAt(changed, touched);
     }
   }
 
@@ -515,14 +483,13 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
     } else if ((m & n) == m) {
       // Case 2 — Q ≤ Q'' (subsets): Q(T) ⊆ Q''(T), so the count drops by
       // exactly |Q(T)| — no popcount pass needed.
-      if (has_bitmap) affected_[m].AndNot(changed);
+      if (has_bitmap) affected_[m].AndNotCountAt(changed, touched);
       if (has_count) counts_[m] -= changed_count;
     } else {
       // Case 3 — incomparable: deduct |Q'''(Q(T))|, i.e. the overlap with
-      // the repaired area only.
+      // the repaired area only, counted while it is cleared.
       if (has_bitmap) {
-        size_t overlap = affected_[m].AndCount(changed);
-        if (overlap != 0) affected_[m].AndNot(changed);
+        size_t overlap = affected_[m].AndNotCountAt(changed, touched);
         if (has_count) counts_[m] -= overlap;
       } else if (has_count) {
         counts_[m] = kNoCount;  // Overlap unknown; recount lazily.
@@ -554,7 +521,7 @@ void Lattice::RecomputeAffected(const Table& table) {
     // predicate bitmaps from the (possibly externally modified) table;
     // later accesses re-materialize against the new contents.
     for (NodeId m : cached_nodes_) {
-      affected_[m] = HybridRowSet();
+      affected_[m] = RowSet();
       counts_[m] = kNoCount;
       cached_flag_[m] = 0;
     }
@@ -654,7 +621,7 @@ NodeId Lattice::Representative(NodeId n) {
   // member of n's equal-affected-set class — the representative — and
   // costs one subset test per absent attribute instead of grouping all
   // 2^k nodes. An empty affected set closes to the top node.
-  const HybridRowSet& rows = AffectedRows(n);
+  const RowSet& rows = AffectedRows(n);
   NodeId rep = n;
   for (size_t i = 0; i < cols_.size(); ++i) {
     if ((n >> i) & 1) continue;

@@ -33,7 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hybrid_row_set.h"
 #include "common/row_set.h"
 #include "common/status.h"
 #include "relational/sqlu.h"
@@ -67,7 +66,9 @@ struct LatticeOptions {
   /// eager materialization.
   bool naive_init = false;
   /// Optional posting cache for predicate bitmaps (non-owning). Ignored by
-  /// naive_init. When the index runs in delta-maintenance mode, ApplyNode
+  /// naive_init. Each posting the lattice uses is copied dense once per
+  /// build, whatever the index's storage. When the index runs in
+  /// delta-maintenance mode, ApplyNode
   /// patches its bitmaps in place (see maintain_index); otherwise the
   /// caller must invalidate updated columns.
   PostingIndex* index = nullptr;
@@ -81,13 +82,6 @@ struct LatticeOptions {
   /// lazy≡eager equivalence tests. Either way accessors return identical
   /// bits; only the work schedule differs.
   bool lazy = true;
-  /// Store predicate bitmaps and materialized node sets in the
-  /// density-adaptive compressed representation: each bitmap picks dense
-  /// words or Roaring-style containers by its measured density
-  /// (HybridRowSet::Compact), deterministically in its cardinality alone.
-  /// Bit-identical to dense mode — only the storage (and bytes) differ.
-  /// Ignored by naive_init (the strawman stays dense).
-  bool compressed = false;
 };
 
 /// One user repair: set cell (row, col) to `new_value`.
@@ -140,8 +134,8 @@ class Lattice {
   /// Node `n`'s affected rows, materializing the minimal ancestor chain on
   /// first access (lazy mode) and caching the result. The reference stays
   /// valid for the lattice's lifetime; bits are identical to an eager
-  /// build's, in whichever representation the density policy chose.
-  const HybridRowSet& AffectedRows(NodeId n) const;
+  /// build's.
+  const RowSet& AffectedRows(NodeId n) const;
 
   /// |AffectedRows(n)|, computed on first access via the fused AndCount
   /// kernel against the parent's bitmap — the node's own bitmap is *not*
@@ -155,7 +149,7 @@ class Lattice {
   void EnsureCounts(const std::vector<NodeId>& nodes) const;
 
   /// Legacy accessor names (aliases of AffectedRows/Count).
-  const HybridRowSet& affected(NodeId n) const { return AffectedRows(n); }
+  const RowSet& affected(NodeId n) const { return AffectedRows(n); }
   size_t affected_count(NodeId n) const { return Count(n); }
 
   /// True once node `n`'s bitmap is resident.
@@ -265,11 +259,9 @@ class Lattice {
   /// Records that node m now holds cached state (bitmap and/or count).
   void MarkCached(NodeId m) const;
   /// Materializes node m's bitmap via the ancestor-chain recurrence. Also
-  /// fills counts_[m] (the bits are resident, so the count is free) and — in
-  /// compressed mode — compacts the bitmap by its density. Done in BOTH
-  /// modes so the lazy counters, and with them SessionMetrics, stay
-  /// bit-identical across representations.
-  const HybridRowSet& MaterializeBitmap(NodeId m) const;
+  /// fills counts_[m] (the fused kernel counts while it writes, so the
+  /// count is free).
+  const RowSet& MaterializeBitmap(NodeId m) const;
   void MaterializeAll() const;
   void EnsureClosedSets();
 
@@ -285,15 +277,14 @@ class Lattice {
   PostingIndex* index_ = nullptr;
   bool maintain_index_ = true;
   bool lazy_ = true;
-  bool compressed_ = false;
 
   /// Per-attribute predicate bitmaps (value copies — posting references
   /// can be invalidated/evicted under the lattice). ApplyNode maintains
   /// them exactly alongside the node sets, which is what keeps the chain
   /// recurrence (and the closure rule) correct for nodes materialized
-  /// *after* repairs were applied. In compressed mode each bitmap is
-  /// compacted by density; dense mode forces dense storage either way.
-  std::vector<HybridRowSet> preds_;
+  /// *after* repairs were applied. Always dense: compressed postings are
+  /// copied out dense once per build.
+  std::vector<RowSet> preds_;
 
   // Lazily-populated per-node caches. Mutable because materialization is
   // memoization: const accessors (oracles, tests) observe identical values
@@ -301,7 +292,7 @@ class Lattice {
   // (universe 0 ≠ num_table_rows_) marks "not materialized"; kNoCount
   // marks "not counted". cached_nodes_ lists every node holding any state
   // so ApplyNode maintenance iterates only those.
-  mutable std::vector<HybridRowSet> affected_;
+  mutable std::vector<RowSet> affected_;
   mutable std::vector<size_t> counts_;
   mutable std::vector<uint8_t> cached_flag_;
   mutable std::vector<NodeId> cached_nodes_;

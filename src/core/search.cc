@@ -55,7 +55,7 @@ RowSet LatticeSearchContext::ApplyValid(NodeId n) {
   // The rows this rule rewrites, resolved (and possibly materialized)
   // before the pool lock below: the WithTexts callback must not reach back
   // into the pool.
-  const HybridRowSet& rows = lattice_->affected(n);
+  const RowSet& rows = lattice_->affected(n);
   // Write-ahead: the durable journal record (with text before-images) must
   // land before any table byte changes, so a crash mid-apply rolls back.
   if (journal_hook_) {

@@ -138,7 +138,6 @@ Status CleaningSession::Start(bool fresh) {
   posting_options.base_snapshot_id = options_.base_snapshot_id;
   posting_index_ = std::make_unique<PostingIndex>(dirty_, posting_options);
   lattice_options_ = options_.lattice;
-  lattice_options_.compressed = options_.compressed_rowsets;
   if (options_.use_posting_index && !lattice_options_.naive_init) {
     lattice_options_.index = posting_index_.get();
   }

@@ -66,11 +66,12 @@ struct SessionOptions {
   /// are evicted between lattice episodes so million-row tables don't
   /// hoard memory.
   size_t posting_budget_bytes = 0;
-  /// Store postings and lattice bitmaps in the density-adaptive compressed
-  /// representation (Roaring-style containers with exact byte accounting).
-  /// Bit-identical questions/answers/metrics/final tables to dense mode —
-  /// only resident bytes change, so far more of the posting universe fits
-  /// in posting_budget_bytes. Off restores the all-dense A/B baseline.
+  /// Store postings in the density-adaptive compressed representation
+  /// (Roaring-style containers with exact byte accounting). Selects the
+  /// posting storage only: lattice nodes and predicate bitmaps are always
+  /// dense words. Bit-identical questions/answers/metrics/final tables to
+  /// dense postings — only resident bytes change, so far more of the
+  /// posting universe fits in posting_budget_bytes.
   bool compressed_rowsets = true;
   /// Remember validated/invalidated rule shapes across updates and bias
   /// CoDive toward historically fruitful attribute sets (the paper's §8

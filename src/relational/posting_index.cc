@@ -113,53 +113,6 @@ const HybridRowSet& PostingIndex::Postings(size_t col, ValueId v) {
   return Insert(col, v, table_->ScanEquals(col, v)).rows;
 }
 
-void PostingIndex::Warm(size_t col, const std::vector<ValueId>& values) {
-  if (SharedEligible(col)) {
-    // Per-value shared probes; batch-scan only the union of misses.
-    auto& views = shared_views_[col];
-    std::vector<ValueId> needed;
-    for (ValueId v : values) {
-      if (views.count(v) != 0) {
-        ++stats_.shared_hits;
-        continue;
-      }
-      if (SharedBaseCache::EntryPtr e =
-              shared_->FindPosting(options_.compressed, col, v)) {
-        ++stats_.shared_hits;
-        views.emplace(v, std::move(e));
-        continue;
-      }
-      needed.push_back(v);
-    }
-    if (needed.empty()) return;
-    stats_.shared_misses += needed.size();
-    const uint64_t epoch_at_scan = shared_->epoch();
-    Timer timer(&stats_.scan_ms);
-    Timer base_timer(&stats_.base_scan_ms);
-    std::vector<RowSet> bitmaps = table_->ScanEqualsMulti(col, needed);
-    for (size_t i = 0; i < needed.size(); ++i) {
-      HybridRowSet rows(std::move(bitmaps[i]));
-      if (options_.compressed) rows.Compact(rows.Count());
-      views.emplace(needed[i],
-                    shared_->PublishPosting(options_.compressed, col,
-                                            needed[i], std::move(rows),
-                                            epoch_at_scan));
-    }
-    return;
-  }
-  std::vector<ValueId> needed;
-  for (ValueId v : values) {
-    if (cache_[col].find(v) == cache_[col].end()) needed.push_back(v);
-  }
-  if (needed.empty()) return;
-  stats_.misses += needed.size();
-  Timer timer(&stats_.scan_ms);
-  std::vector<RowSet> bitmaps = table_->ScanEqualsMulti(col, needed);
-  for (size_t i = 0; i < needed.size(); ++i) {
-    Insert(col, needed[i], std::move(bitmaps[i]));
-  }
-}
-
 void PostingIndex::PrivatizeColumn(size_t col) {
   if (shared_ == nullptr || col_private_[col] != 0) return;
   col_private_[col] = 1;

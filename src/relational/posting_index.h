@@ -133,10 +133,6 @@ class PostingIndex {
   /// reference stays valid until InvalidateColumn/InvalidateAll/Trim.
   const HybridRowSet& Postings(size_t col, ValueId v);
 
-  /// Batch fill: caches postings for every value of `col` not yet cached in
-  /// a single pass over the column (Table::ScanEqualsMulti).
-  void Warm(size_t col, const std::vector<ValueId>& values);
-
   /// Full deterministic build of `col`: caches a posting for every distinct
   /// value present (including NULL), sharded across `pool` (the global pool
   /// when null). Bit-identical to the serial build at any thread count —

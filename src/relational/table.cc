@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -104,34 +102,6 @@ RowSet Table::ScanEquals(size_t col, ValueId v) const {
   return rows;
 }
 
-std::vector<RowSet> Table::ScanEqualsMulti(
-    size_t col, const std::vector<ValueId>& values) const {
-  std::vector<RowSet> out;
-  out.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) out.emplace_back(num_rows_);
-  if (values.empty()) return out;
-  const ValueId* column = columns_[col]->data();
-  const size_t num_rows = num_rows_;
-  const size_t k = values.size();
-  ThreadPool::Global().ParallelFor(
-      out[0].num_words(), kParallelWordGrain, [&](size_t wb, size_t we) {
-        std::vector<uint64_t> words(k);
-        for (size_t w = wb; w < we; ++w) {
-          size_t r0 = w * 64;
-          size_t r1 = std::min(r0 + 64, num_rows);
-          std::fill(words.begin(), words.end(), 0);
-          for (size_t r = r0; r < r1; ++r) {
-            ValueId x = column[r];
-            for (size_t i = 0; i < k; ++i) {
-              words[i] |= uint64_t{x == values[i]} << (r - r0);
-            }
-          }
-          for (size_t i = 0; i < k; ++i) out[i].SetWord(w, words[i]);
-        }
-      });
-  return out;
-}
-
 RowSet Table::ScanConjunction(
     const std::vector<std::pair<size_t, ValueId>>& preds) const {
   RowSet rows(num_rows_, /*fill=*/true);
@@ -143,28 +113,20 @@ RowSet Table::ScanConjunction(
 }
 
 size_t Table::DistinctCount(size_t col) const {
-  const std::vector<ValueId>& column = *columns_[col];
-  ThreadPool& pool = ThreadPool::Global();
-  if (pool.num_threads() == 0 || num_rows_ < kParallelRowGrain) {
-    std::unordered_set<ValueId> seen;
-    for (ValueId v : column) {
-      if (v != kNullValueId) seen.insert(v);
-    }
-    return seen.size();
+  // One pass over a bit vector indexed by ValueId: ids are dense pool
+  // indices, so the vector spans at most the pool and grows to the
+  // largest id the column holds.
+  std::vector<uint64_t> seen;
+  size_t distinct = 0;
+  for (ValueId v : *columns_[col]) {
+    if (v == kNullValueId) continue;
+    size_t w = v >> 6;
+    if (w >= seen.size()) seen.resize(std::max(w + 1, 2 * seen.size()), 0);
+    uint64_t bit = uint64_t{1} << (v & 63);
+    distinct += (seen[w] & bit) == 0;
+    seen[w] |= bit;
   }
-  // Per-shard sets unioned under a lock; the union's size is independent of
-  // shard boundaries, so the result matches the serial loop exactly.
-  std::mutex mu;
-  std::unordered_set<ValueId> merged;
-  pool.ParallelFor(num_rows_, kParallelRowGrain, [&](size_t begin, size_t end) {
-    std::unordered_set<ValueId> seen;
-    for (size_t r = begin; r < end; ++r) {
-      if (column[r] != kNullValueId) seen.insert(column[r]);
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    merged.insert(seen.begin(), seen.end());
-  });
-  return merged.size();
+  return distinct;
 }
 
 Table Table::Clone() const {

@@ -100,13 +100,6 @@ class Table {
   /// thread pool on large tables.
   RowSet ScanEquals(size_t col, ValueId v) const;
 
-  /// Posting bitmaps for several values of one column in a single pass over
-  /// the column (result[i] = ScanEquals(col, values[i])). One memory
-  /// traversal amortizes across all requested values, which is what batched
-  /// posting-index fills want.
-  std::vector<RowSet> ScanEqualsMulti(size_t col,
-                                      const std::vector<ValueId>& values) const;
-
   /// Rows matching a conjunction of (col, value) equality predicates.
   RowSet ScanConjunction(
       const std::vector<std::pair<size_t, ValueId>>& preds) const;

@@ -85,27 +85,25 @@ TEST(CompressedRowSetResizeTest, PreservesBitsAndClearsNewRows) {
 
 TEST(HybridRowSetResizeTest, GrowsWhicheverRepresentationIsActive) {
   // Dense-side growth.
-  HybridRowSet dense(1000);
+  HybridRowSet dense(RowSet(1000));
   dense.Set(5);
   dense.Resize(5000);
   EXPECT_FALSE(dense.compressed());
   EXPECT_EQ(dense.universe_size(), 5000u);
-  EXPECT_TRUE(dense.Test(5));
+  EXPECT_TRUE(dense.ToDense().Test(5));
   EXPECT_EQ(dense.Count(), 1u);
 
   // Compressed-side growth: a sparse set over a big universe compacts,
   // then grows while staying compressed.
-  HybridRowSet sparse(1 << 16);
+  HybridRowSet sparse(RowSet(1 << 16));
   sparse.Set(3);
   sparse.Set(40000);
-  sparse.Compact();
+  sparse.Compact(sparse.Count());
   ASSERT_TRUE(sparse.compressed());
   sparse.Resize(1 << 18);
   EXPECT_TRUE(sparse.compressed());
   EXPECT_EQ(sparse.universe_size(), size_t{1} << 18);
-  EXPECT_TRUE(sparse.Test(3));
-  EXPECT_TRUE(sparse.Test(40000));
-  EXPECT_EQ(sparse.Count(), 2u);
+  EXPECT_EQ(sparse.ToDense().ToVector(), (std::vector<uint32_t>{3, 40000}));
 }
 
 // FALCON_DCHECK is compiled out under NDEBUG, so the guard-rail death

@@ -1,9 +1,10 @@
-// Lazy materialization and compressed row-set storage are optimizations,
+// Lazy materialization and compressed posting storage are optimizations,
 // not semantics changes: every observable of a cleaning run — the
 // questions asked (after closed-set redirection), the answers, the applied
 // repairs, the final table CRC — must be bit-identical across
 // options.lattice.lazy = {true, false} × options.compressed_rowsets =
-// {false, true}, for every search algorithm and both posting-maintenance
+// {false, true} (the posting index's storage; lattice nodes are always
+// dense), for every search algorithm and both posting-maintenance
 // modes. These sweeps pin that property on seeded random workloads; the
 // direct lattice tests pin the accessor-level equivalence (affected sets,
 // counts, representatives) including after applied queries.
@@ -71,13 +72,14 @@ struct RunResult {
 };
 
 RunResult RunOnce(const Workload& w, SearchKind kind, bool lazy,
-                  bool posting_delta, bool compressed, uint64_t seed) {
+                  bool posting_delta, bool compressed_postings,
+                  uint64_t seed) {
   SessionOptions options;
   options.budget = 3;
   options.seed = seed;
   options.posting_delta = posting_delta;
   options.lattice.lazy = lazy;
-  options.compressed_rowsets = compressed;
+  options.compressed_rowsets = compressed_postings;
   RecordingOracle oracle(&w.clean, seed);
   options.oracle = &oracle;
   Table dirty = w.dirty.Clone();
@@ -104,21 +106,22 @@ class LazyEagerEquivalenceTest : public ::testing::TestWithParam<EquivParam> {
 TEST_P(LazyEagerEquivalenceTest, RunsBitIdentical) {
   for (uint64_t seed : {11u, 42u}) {
     Workload w = MakeWorkload(1200, seed);
-    // Full grid: {lazy, eager} × {dense, compressed}. The lazy+dense run
-    // is the baseline every other configuration must match bit-for-bit.
+    // Full grid: {lazy, eager} × {dense, compressed} postings. The lazy
+    // run over dense postings is the baseline every other configuration
+    // must match bit-for-bit.
     struct Config {
       bool lazy;
-      bool compressed;
+      bool compressed_postings;
       const char* name;
     };
-    const Config configs[] = {{true, false, "lazy/dense"},
-                              {false, false, "eager/dense"},
-                              {true, true, "lazy/compressed"},
-                              {false, true, "eager/compressed"}};
+    const Config configs[] = {{true, false, "lazy/dense-postings"},
+                              {false, false, "eager/dense-postings"},
+                              {true, true, "lazy/compressed-postings"},
+                              {false, true, "eager/compressed-postings"}};
     std::vector<RunResult> runs;
     for (const Config& cfg : configs) {
       runs.push_back(RunOnce(w, GetParam().kind, cfg.lazy,
-                             GetParam().posting_delta, cfg.compressed,
+                             GetParam().posting_delta, cfg.compressed_postings,
                              /*seed=*/1234 + seed));
     }
     const RunResult& base = runs[0];

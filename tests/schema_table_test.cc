@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "common/rng.h"
 #include "relational/schema.h"
 #include "relational/table.h"
 
@@ -54,21 +59,6 @@ TEST(TableTest, ScanEquals) {
   EXPECT_EQ(statin.ToVector(), (std::vector<uint32_t>{0, 2}));
 }
 
-TEST(TableTest, ScanEqualsMultiMatchesSingleScans) {
-  Table t("T", DrugSchema());
-  t.AppendRow({"a", "statin", "Austin", "200"});
-  t.AppendRow({"b", "other", "Austin", "100"});
-  t.AppendRow({"c", "statin", "Boston", "200"});
-  std::vector<ValueId> values = {t.Lookup("Austin"), t.Lookup("Boston"),
-                                 t.Lookup("nowhere")};
-  std::vector<RowSet> multi = t.ScanEqualsMulti(2, values);
-  ASSERT_EQ(multi.size(), 3u);
-  for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(multi[i], t.ScanEquals(2, values[i])) << "value " << i;
-  }
-  EXPECT_TRUE(t.ScanEqualsMulti(2, {}).empty());
-}
-
 TEST(TableTest, ScanEqualsCrossesWordBoundaries) {
   // >64 rows so the word-blocked kernel handles full and partial words.
   Table t("T", Schema({"A"}));
@@ -101,6 +91,47 @@ TEST(TableTest, DistinctCountIgnoresNull) {
   t.AppendRow({"x"});
   t.AppendRow({""});  // NULL.
   EXPECT_EQ(t.DistinctCount(0), 2u);
+}
+
+// Reference count: a hash set of the non-null ids.
+size_t ReferenceDistinct(const Table& t, size_t col) {
+  std::unordered_set<ValueId> seen;
+  for (ValueId v : t.column(col)) {
+    if (v != kNullValueId) seen.insert(v);
+  }
+  return seen.size();
+}
+
+TEST(TableTest, DistinctCountMatchesHashSetReference) {
+  Table empty("T", Schema({"A"}));
+  EXPECT_EQ(empty.DistinctCount(0), 0u);
+
+  Rng rng(17);
+  Table t("T", Schema({"Small", "Sparse", "Key", "Nulls"}));
+  // Intern enough values that the sparse column's ids run high and far
+  // apart (past several bit-vector words between neighbours).
+  std::vector<ValueId> ids;
+  for (size_t i = 0; i < 200000; ++i) {
+    ids.push_back(t.Intern(std::to_string(i)));
+  }
+  const size_t rows = (size_t{1} << 16) + 1000;  // More than 64Ki rows.
+  std::vector<std::vector<ValueId>> chunk(4);
+  for (size_t r = 0; r < rows; ++r) {
+    chunk[0].push_back(rng.NextBool(0.1) ? kNullValueId
+                                         : ids[rng.NextUint(12)]);
+    chunk[1].push_back(rng.NextBool(0.2)
+                           ? kNullValueId
+                           : ids[199999 - 997 * rng.NextUint(200)]);
+    chunk[2].push_back(ids[r % ids.size()]);
+    chunk[3].push_back(kNullValueId);
+  }
+  t.AppendBatch(chunk);
+  ASSERT_EQ(t.num_rows(), rows);
+  for (size_t c = 0; c < t.num_cols(); ++c) {
+    EXPECT_EQ(t.DistinctCount(c), ReferenceDistinct(t, c)) << "column " << c;
+  }
+  EXPECT_EQ(t.DistinctCount(2), rows);
+  EXPECT_EQ(t.DistinctCount(3), 0u);
 }
 
 TEST(TableTest, CloneSharesPoolButNotCells) {

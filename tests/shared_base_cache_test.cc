@@ -40,7 +40,7 @@ TEST(SharedBaseCacheTest, PublishFindRoundTripAndPlaneSeparation) {
   SharedBaseCache::EntryPtr e =
       cache.PublishPosting(false, 2, ValueId{9}, rows, epoch);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(*e, rows);
+  EXPECT_EQ(e->ToDense(), rows);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_GT(cache.resident_bytes(), 0u);
 
@@ -72,7 +72,7 @@ TEST(SharedBaseCacheTest, FirstPublisherWins) {
   SharedBaseCache::EntryPtr b =
       cache.PublishPosting(false, 0, ValueId{1}, second, cache.epoch());
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(*b, first);
+  EXPECT_EQ(b->ToDense(), first);
   EXPECT_EQ(cache.entries(), 1u);
 }
 
@@ -89,14 +89,14 @@ TEST(SharedBaseCacheTest, InvalidateRetiresGenerationAndRejectsStalePublish) {
   EXPECT_EQ(cache.resident_bytes(), 0u);
   EXPECT_EQ(cache.FindPosting(false, 1, ValueId{4}), nullptr);
   // The reader's pin survives invalidation (RCU grace via refcount).
-  EXPECT_EQ(*pinned, rows);
+  EXPECT_EQ(pinned->ToDense(), rows);
 
   // A publish computed against the retired epoch must be rejected: the
   // wrap is returned for the caller's own use but never becomes resident.
   SharedBaseCache::EntryPtr rejected =
       cache.PublishPosting(false, 1, ValueId{4}, rows, stale);
   ASSERT_NE(rejected, nullptr);
-  EXPECT_EQ(*rejected, rows);
+  EXPECT_EQ(rejected->ToDense(), rows);
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.FindPosting(false, 1, ValueId{4}), nullptr);
   EXPECT_GT(cache.Stats().rejected_publishes, 0u);
@@ -122,7 +122,7 @@ TEST(SharedBaseCacheTest, ByteBudgetRejectsOverBudgetPublishes) {
   SharedBaseCache::EntryPtr wrap =
       cache.PublishPosting(false, 0, ValueId{2}, rows, cache.epoch());
   ASSERT_NE(wrap, nullptr);
-  EXPECT_EQ(*wrap, rows);
+  EXPECT_EQ(wrap->ToDense(), rows);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.FindPosting(false, 0, ValueId{2}), nullptr);
   EXPECT_GT(cache.Stats().rejected_publishes, 0u);
@@ -161,7 +161,8 @@ TEST(TwoTierPostingIndexTest, SharedProbeThenPrivatizeOnWrite) {
   Table ta = base.Clone();
   PostingIndex a(&ta, opts);
   ASSERT_TRUE(a.shared_attached());
-  EXPECT_EQ(a.Postings(0, alphabet[0]), base.ScanEquals(0, alphabet[0]));
+  EXPECT_EQ(a.Postings(0, alphabet[0]).ToDense(),
+            base.ScanEquals(0, alphabet[0]));
   EXPECT_EQ(a.stats().shared_misses, 1u);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(a.SharedViewEntries(), 1u);
@@ -170,7 +171,8 @@ TEST(TwoTierPostingIndexTest, SharedProbeThenPrivatizeOnWrite) {
   // Session B, warm: pure shared hit, private tier untouched.
   Table tb = base.Clone();
   PostingIndex b(&tb, opts);
-  EXPECT_EQ(b.Postings(0, alphabet[0]), base.ScanEquals(0, alphabet[0]));
+  EXPECT_EQ(b.Postings(0, alphabet[0]).ToDense(),
+            base.ScanEquals(0, alphabet[0]));
   EXPECT_EQ(b.stats().shared_hits, 1u);
   EXPECT_EQ(b.stats().shared_misses, 0u);
   EXPECT_EQ(b.misses(), 0u);
@@ -184,13 +186,15 @@ TEST(TwoTierPostingIndexTest, SharedProbeThenPrivatizeOnWrite) {
   EXPECT_EQ(a.SharedViewEntries(), 0u);  // Promoted into the private tier.
   EXPECT_GT(a.cached_entries(), 0u);
   for (ValueId v : alphabet) {
-    EXPECT_EQ(a.Postings(0, v), ta.ScanEquals(0, v));
+    EXPECT_EQ(a.Postings(0, v).ToDense(), ta.ScanEquals(0, v));
   }
-  EXPECT_EQ(b.Postings(0, alphabet[0]), base.ScanEquals(0, alphabet[0]));
+  EXPECT_EQ(b.Postings(0, alphabet[0]).ToDense(),
+            base.ScanEquals(0, alphabet[0]));
 
   // A's unwritten columns stay shared-eligible: a fresh probe publishes.
   size_t publishes_before = cache.Stats().posting_publishes;
-  EXPECT_EQ(a.Postings(1, alphabet[2]), base.ScanEquals(1, alphabet[2]));
+  EXPECT_EQ(a.Postings(1, alphabet[2]).ToDense(),
+            base.ScanEquals(1, alphabet[2]));
   EXPECT_EQ(cache.Stats().posting_publishes, publishes_before + 1);
 }
 
@@ -205,7 +209,7 @@ TEST(TwoTierPostingIndexTest, SnapshotMismatchKeepsIndexFullyPrivate) {
   opts.base_snapshot_id = 8;  // Different generation: never attach.
   PostingIndex index(&base, opts);
   EXPECT_FALSE(index.shared_attached());
-  EXPECT_EQ(index.Postings(0, v0), base.ScanEquals(0, v0));
+  EXPECT_EQ(index.Postings(0, v0).ToDense(), base.ScanEquals(0, v0));
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(index.stats().shared_hits, 0u);
   EXPECT_EQ(index.stats().shared_misses, 0u);
@@ -324,7 +328,8 @@ TEST(SharedBaseCacheStressTest, RacingPublishersReadersAndInvalidator) {
         }
         ASSERT_NE(e, nullptr);
         // Resident or rejected-wrap, the bits must be the key's bits.
-        EXPECT_EQ(*e, expected(col, v)) << "col " << col << " v " << v;
+        EXPECT_EQ(e->ToDense(),
+                  expected(col, v)) << "col " << col << " v " << v;
       }
     });
   }
