@@ -43,7 +43,6 @@
 #include "core/session_journal.h"
 #include "service/client.h"
 #include "service/server.h"
-#include "service/session_manager.h"
 
 using namespace falcon;
 
@@ -330,156 +329,6 @@ double Percentile(std::vector<double> sorted, double p) {
   return sorted[idx];
 }
 
-/// Serial ground truth with explicit cache knobs (the shared sweep runs
-/// the full posting-mode × row-set-representation grid).
-Baseline RunSerialConfigured(const bench::Workload& w, uint64_t seed,
-                             bool posting_delta, bool compressed) {
-  SessionOptions options;
-  options.seed = seed;
-  options.posting_delta = posting_delta;
-  options.compressed_rowsets = compressed;
-  Table working = w.dirty.Clone();
-  auto algorithm = MakeSearchAlgorithm(SearchKind::kCoDive);
-  CleaningSession session(&w.clean, &working, algorithm.get(), options);
-  auto metrics = session.Run();
-  FALCON_CHECK(metrics.ok());
-  return Baseline{*metrics, TableContentsCrc(working)};
-}
-
-bool StatusMatches(const SessionStatus& got, const Baseline& want) {
-  return got.metrics.user_updates == want.metrics.user_updates &&
-         got.metrics.user_answers == want.metrics.user_answers &&
-         got.metrics.cells_repaired == want.metrics.cells_repaired &&
-         got.metrics.queries_applied == want.metrics.queries_applied &&
-         got.metrics.converged == want.metrics.converged &&
-         got.table_crc == want.table_crc;
-}
-
-/// Same-workload K-session sweep over an in-process SessionManager: all K
-/// sessions open the same (dataset, scale, seed), so session 1 pays the
-/// posting/index build cold and sessions 2..K ride the shared base tier —
-/// probing exactly the keys session 1 published (same seed → same
-/// deterministic probe sequence). Sessions are opened up front (the base's
-/// live-session refcount keeps the shared tier alive) and run to
-/// convergence sequentially; every final table must be bit-identical to a
-/// serial single-session run. Emits per-config cold/warm index-build ms,
-/// shared vs private residency, and hit rates — the CI gate asserts
-/// warm ≤ 0.2× cold and shared hit rate > 50% on the delta+compressed
-/// config, and CRC identity on all four.
-JsonValue RunSharedSweep(const std::string& dataset, double sweep_scale,
-                         uint64_t seed, size_t k, bool* all_identical_out) {
-  bench::Workload w = bench::MakeWorkload(dataset, sweep_scale);
-  std::printf("\nshared-cache sweep: %zu same-seed sessions, %zu rows\n", k,
-              w.clean.num_rows());
-  std::printf("%-24s %12s %12s %8s %10s %12s %12s %6s\n", "config",
-              "cold(ms)", "warm(ms)", "ratio", "shared%", "shared(B)",
-              "private(B)", "crc");
-
-  JsonValue configs = JsonValue::Array();
-  bool all_identical = true;
-  for (bool posting_delta : {true, false}) {
-    for (bool compressed : {true, false}) {
-      Baseline want =
-          RunSerialConfigured(w, seed, posting_delta, compressed);
-
-      ServiceLimits limits;
-      limits.max_sessions = k;
-      SessionManager manager(limits);
-      SessionManager::OpenParams params;
-      params.dataset = dataset;
-      params.scale = sweep_scale;
-      params.seed = seed;
-      params.posting_delta = posting_delta;
-      params.compressed_rowsets = compressed;
-      std::vector<std::string> ids;
-      ids.reserve(k);
-      for (size_t i = 0; i < k; ++i) {
-        auto id = manager.Open(params);
-        FALCON_CHECK(id.ok());
-        ids.push_back(*id);
-      }
-
-      bool identical = true;
-      double cold_ms = 0.0;
-      double warm_ms_sum = 0.0;
-      double warm_shared_rate_sum = 0.0;
-      size_t private_bytes = 0;
-      JsonValue per_session = JsonValue::Array();
-      for (size_t i = 0; i < k; ++i) {
-        auto st = manager.Step(ids[i], 0);  // Run to convergence.
-        FALCON_CHECK(st.ok());
-        FALCON_CHECK(st->finished);
-        identical = identical && StatusMatches(*st, want);
-        const SessionMetrics& m = st->metrics;
-        // "Index build" = base posting fills only (posting_base_scan_ms):
-        // private re-scans after this session's own writes are excluded,
-        // since cold and warm sessions pay those identically.
-        if (i == 0) {
-          cold_ms = m.posting_base_scan_ms;
-        } else {
-          warm_ms_sum += m.posting_base_scan_ms;
-          warm_shared_rate_sum += m.PostingSharedHitRate();
-        }
-        private_bytes += m.posting_resident_bytes;
-        JsonValue s = JsonValue::Object();
-        s.Set("index_build_ms", m.posting_base_scan_ms);
-        s.Set("posting_scan_ms_total", m.posting_scan_ms);
-        s.Set("posting_shared_hits", m.posting_shared_hits);
-        s.Set("posting_shared_misses", m.posting_shared_misses);
-        s.Set("posting_shared_hit_rate", m.PostingSharedHitRate());
-        s.Set("posting_hit_rate", m.PostingHitRate());
-        s.Set("private_resident_bytes", m.posting_resident_bytes);
-        s.Set("shared_pinned_bytes", m.posting_shared_bytes);
-        per_session.Append(std::move(s));
-      }
-      // Health before closing: the shared tier is dropped when the last
-      // session on the base closes.
-      ServiceHealth health = manager.Health();
-      for (const std::string& id : ids) {
-        FALCON_CHECK(manager.Close(id).ok());
-      }
-      all_identical = all_identical && identical;
-
-      double warm_ms =
-          k > 1 ? warm_ms_sum / static_cast<double>(k - 1) : 0.0;
-      double warm_shared_rate =
-          k > 1 ? warm_shared_rate_sum / static_cast<double>(k - 1) : 0.0;
-      double ratio = cold_ms > 0 ? warm_ms / cold_ms : 0.0;
-      char label[64];
-      std::snprintf(label, sizeof label, "delta=%d compressed=%d",
-                    posting_delta ? 1 : 0, compressed ? 1 : 0);
-      std::printf("%-24s %12.3f %12.3f %8.3f %10.1f %12zu %12zu %6s\n",
-                  label, cold_ms, warm_ms, ratio, 100.0 * warm_shared_rate,
-                  health.shared_resident_bytes, private_bytes,
-                  identical ? "yes" : "NO");
-
-      JsonValue config = JsonValue::Object();
-      config.Set("posting_delta", posting_delta);
-      config.Set("compressed_rowsets", compressed);
-      config.Set("cold_index_build_ms", cold_ms);
-      config.Set("warm_index_build_ms", warm_ms);
-      config.Set("warm_cold_ratio", ratio);
-      config.Set("warm_shared_hit_rate", warm_shared_rate);
-      config.Set("shared_resident_bytes", health.shared_resident_bytes);
-      config.Set("shared_entries", health.shared_entries);
-      config.Set("shared_hit_rate_process", health.shared_hit_rate());
-      config.Set("private_resident_bytes", private_bytes);
-      config.Set("crc_identical_to_serial", identical);
-      config.Set("per_session", std::move(per_session));
-      configs.Append(std::move(config));
-    }
-  }
-
-  JsonValue sweep = JsonValue::Object();
-  sweep.Set("sessions", k);
-  sweep.Set("rows", w.clean.num_rows());
-  sweep.Set("scale", sweep_scale);
-  sweep.Set("configs", std::move(configs));
-  sweep.Set("all_crc_identical", all_identical);
-  *all_identical_out = all_identical;
-  return sweep;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -506,9 +355,6 @@ int main(int argc, char** argv) {
       "workers", 0, "in-process server worker threads (0 = auto)");
   int64_t queue_limit_flag = flags.GetInt(
       "queue_limit", 64, "in-process server global request-queue bound");
-  int64_t sweep_sessions_flag = flags.GetInt(
-      "sweep_sessions", 8,
-      "same-seed session count for the shared base-cache sweep");
   uint64_t base_seed = static_cast<uint64_t>(
       flags.GetInt("seed", 4242, "base RNG seed (analyst i uses seed+i)"));
   if (auto rc = flags.Done(
@@ -686,18 +532,6 @@ int main(int argc, char** argv) {
     server->Wait();
   }
 
-  // Shared base-cache sweep: in-process (SessionManager directly), at a
-  // larger scale than the analyst rounds so the cold index build is
-  // measurable. Sequential by design — it measures amortization, not
-  // concurrency (the analyst rounds above cover that).
-  double sweep_scale = scale * (quick ? 0.2 : 0.5);
-  size_t sweep_k = std::max<int64_t>(2, sweep_sessions_flag);
-  bool sweep_identical = true;
-  JsonValue sweep =
-      RunSharedSweep(dataset, sweep_scale, base_seed, sweep_k,
-                     &sweep_identical);
-  all_identical = all_identical && sweep_identical;
-
   JsonValue doc = JsonValue::Object();
   doc.Set("bench", "service_load");
   doc.Set("meta", bench::BenchMeta());
@@ -709,7 +543,6 @@ int main(int argc, char** argv) {
   doc.Set("queue_limit", static_cast<size_t>(
                              std::max<int64_t>(0, queue_limit_flag)));
   doc.Set("rounds", std::move(rounds));
-  doc.Set("shared_sweep", std::move(sweep));
   doc.Set("all_identical", all_identical);
   FILE* f = std::fopen("BENCH_service_load.json", "w");
   if (f != nullptr) {

@@ -476,9 +476,14 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
     bool has_count = counts_[m] != kNoCount;
     if ((m & n) == n) {
       // Case 1 (and n itself) — Q' ≤ Q (supersets of n's attributes):
-      // every tuple Q' could affect was just repaired; drop to ∅ without
-      // set algebra.
-      if (has_bitmap) affected_[m].ClearAll();
+      // every tuple Q' could affect was just repaired, so Q'(T) ⊆ Q(T)
+      // and its bits all lie in the touched words; clearing those drops
+      // the node to ∅.
+      if (has_bitmap) {
+        [[maybe_unused]] size_t cleared =
+            affected_[m].AndNotCountAt(changed, touched);
+        FALCON_DCHECK(!has_count || cleared == counts_[m]);
+      }
       counts_[m] = 0;
     } else if ((m & n) == m) {
       // Case 2 — Q ≤ Q'' (subsets): Q(T) ⊆ Q''(T), so the count drops by

@@ -39,18 +39,18 @@ void CleaningSession::ExportPostingStats() {
   metrics_.posting_evictions = s.evictions;
   metrics_.posting_scan_ms = s.scan_ms;
   metrics_.posting_delta_ms = s.delta_ms;
-  metrics_.posting_shared_hits = s.shared_hits;
-  metrics_.posting_shared_misses = s.shared_misses;
-  metrics_.posting_base_scan_ms = s.base_scan_ms;
-  metrics_.posting_shared_bytes = posting_index_->SharedViewBytes();
-  PostingStorageStats storage = posting_index_->StorageStats();
+  // Running totals, so this costs O(1) on every step exit: the same values
+  // PostingIndex::StorageStats() would get by walking every entry.
+  PostingStorageStats storage;
+  storage.entries = posting_index_->cached_entries();
+  storage.resident_bytes = posting_index_->cached_bytes() -
+                           PostingIndex::kEntryOverheadBytes * storage.entries;
+  storage.dense_bytes = storage.entries *
+                        ((dirty_->num_rows() + 63) / 64) * sizeof(uint64_t);
   metrics_.posting_entries = storage.entries;
   metrics_.posting_resident_bytes = storage.resident_bytes;
   metrics_.posting_dense_bytes = storage.dense_bytes;
   metrics_.posting_compression = storage.compression();
-  metrics_.posting_array_containers = storage.array_containers;
-  metrics_.posting_bitmap_containers = storage.bitmap_containers;
-  metrics_.posting_run_containers = storage.run_containers;
 }
 
 Status CleaningSession::Start(bool fresh) {
@@ -129,13 +129,6 @@ Status CleaningSession::Start(bool fresh) {
   posting_options.delta_maintenance = options_.posting_delta;
   posting_options.byte_budget = options_.posting_budget_bytes;
   posting_options.compressed = options_.compressed_rowsets;
-  // Two-tier mode: Start() runs over a table still equal to the base
-  // snapshot (fresh clone, or recovery's rollback — CRC-anchored), so
-  // every column begins shared-eligible; the index privatizes columns as
-  // this session writes them. The snapshot-id check inside PostingIndex
-  // silently drops a stale or mismatched cache.
-  posting_options.shared = options_.shared_cache;
-  posting_options.base_snapshot_id = options_.base_snapshot_id;
   posting_index_ = std::make_unique<PostingIndex>(dirty_, posting_options);
   lattice_options_ = options_.lattice;
   if (options_.use_posting_index && !lattice_options_.naive_init) {

@@ -104,16 +104,6 @@ struct SessionOptions {
   /// Constructed as UserOracle(clean, question_mistake_prob, seed + 1) it
   /// reproduces the internal oracle bit-for-bit.
   UserOracle* oracle = nullptr;
-  /// Process-wide read cache over the base snapshot this session's dirty
-  /// table was cloned from (non-owning; must outlive the session). Only
-  /// attached when its snapshot id equals base_snapshot_id — the posting
-  /// index then probes the shared tier for columns this session has not
-  /// mutated. Pure acceleration: questions, answers, repairs, and the final
-  /// table are bit-identical with or without it (only timing and
-  /// hit/materialization counters change).
-  SharedBaseCache* shared_cache = nullptr;
-  /// CleaningWorkload::snapshot_id of the base (0 = never attach).
-  uint64_t base_snapshot_id = 0;
   /// A/B strawman for AppendBatch: instead of O(batch) incremental
   /// maintenance (posting Resize+fold), drop every cached posting bitmap
   /// so the next lattice rebuilds them from full table scans. Identical
@@ -144,25 +134,16 @@ struct SessionMetrics {
   double posting_scan_ms = 0.0;   ///< Table-scan time filling the cache.
   double posting_delta_ms = 0.0;  ///< Time patching bitmaps in place.
 
-  // Shared base tier (sessions opened with SessionOptions::shared_cache).
-  size_t posting_shared_hits = 0;    ///< Probes served by the shared tier.
-  size_t posting_shared_misses = 0;  ///< Eligible probes that scanned.
-  /// Portion of posting_scan_ms spent building base postings — the cost
-  /// the shared tier amortizes (warm sessions pay ~0 of it).
-  double posting_base_scan_ms = 0.0;
-  /// Heap bytes of shared-tier bitmaps this session has pinned. Resident
-  /// once process-wide — report alongside, never add to,
-  /// posting_resident_bytes (which stays private-tier only).
-  size_t posting_shared_bytes = 0;
+  // Always 0: there is no shared posting tier any more. Kept only because
+  // the perfbench program still reads them.
+  size_t posting_shared_hits = 0;
+  size_t posting_shared_misses = 0;
 
   // Posting storage at the end of the run (see PostingStorageStats).
   size_t posting_entries = 0;         ///< Cached (column, value) bitmaps.
   size_t posting_resident_bytes = 0;  ///< Exact heap bytes of cached bitmaps.
   size_t posting_dense_bytes = 0;     ///< Dense-equivalent bytes of the same.
   double posting_compression = 1.0;   ///< dense/resident (>1 ⇒ winning).
-  size_t posting_array_containers = 0;
-  size_t posting_bitmap_containers = 0;
-  size_t posting_run_containers = 0;
 
   // Lazy lattice materialization over the run (see Lattice::LazyStats).
   size_t nodes_materialized = 0;   ///< Node bitmaps actually computed.
@@ -202,16 +183,9 @@ struct SessionMetrics {
                       : static_cast<double>(hits) /
                             static_cast<double>(total);
   }
-  /// All posting probes served from some cache tier (private or shared).
+  /// Posting probes served from the session's cache.
   double PostingHitRate() const {
-    return Rate(posting_hits + posting_shared_hits,
-                posting_hits + posting_misses + posting_shared_hits +
-                    posting_shared_misses);
-  }
-  /// Shared-tier-eligible posting probes that hit the shared tier.
-  double PostingSharedHitRate() const {
-    return Rate(posting_shared_hits,
-                posting_shared_hits + posting_shared_misses);
+    return Rate(posting_hits, posting_hits + posting_misses);
   }
 };
 

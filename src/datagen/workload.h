@@ -23,9 +23,8 @@ struct CleaningWorkload {
   size_t errors = 0;    ///< Injected dirty cells.
   size_t patterns = 0;  ///< Injected rule patterns.
   /// Process-unique snapshot generation id, assigned by
-  /// MakeCleaningWorkload. The SharedBaseCache for a base is keyed on it,
-  /// so sessions can only attach to a cache built over their exact
-  /// instance. 0 (a hand-assembled workload) never matches any cache.
+  /// MakeCleaningWorkload: two builds never share one, so it tells cached
+  /// instances apart (and counts builds). 0 = a hand-assembled workload.
   uint64_t snapshot_id = 0;
 };
 
@@ -41,7 +40,7 @@ std::vector<std::string> AllWorkloadNames();
 
 /// Next process-unique CleaningWorkload::snapshot_id. Every workload
 /// builder (named datasets, spec-driven generation) draws from this one
-/// counter so shared read caches never alias instances across builders.
+/// counter, so ids never collide across builders.
 uint64_t NextWorkloadSnapshotId();
 
 }  // namespace falcon

@@ -72,35 +72,7 @@ PostingStorageStats PostingIndex::StorageStats() const {
   return s;
 }
 
-const HybridRowSet& PostingIndex::SharedPostings(size_t col, ValueId v) {
-  auto& views = shared_views_[col];
-  auto it = views.find(v);
-  if (it != views.end()) {
-    ++stats_.shared_hits;
-    return *it->second;
-  }
-  if (SharedBaseCache::EntryPtr e =
-          shared_->FindPosting(options_.compressed, col, v)) {
-    ++stats_.shared_hits;
-    return *views.emplace(v, std::move(e)).first->second;
-  }
-  // Miss in both views and cache: scan the (still base-identical) column
-  // and publish the result so every later session hits. PublishPosting
-  // always returns a servable entry — the winner's on a race, a private
-  // wrap when over budget or invalidated mid-scan.
-  ++stats_.shared_misses;
-  const uint64_t epoch_at_scan = shared_->epoch();
-  Timer timer(&stats_.scan_ms);
-  Timer base_timer(&stats_.base_scan_ms);
-  HybridRowSet rows(table_->ScanEquals(col, v));
-  if (options_.compressed) rows.Compact(rows.Count());
-  SharedBaseCache::EntryPtr e = shared_->PublishPosting(
-      options_.compressed, col, v, std::move(rows), epoch_at_scan);
-  return *views.emplace(v, std::move(e)).first->second;
-}
-
 const HybridRowSet& PostingIndex::Postings(size_t col, ValueId v) {
-  if (SharedEligible(col)) return SharedPostings(col, v);
   ColumnCache& cache = cache_[col];
   auto it = cache.find(v);
   if (it != cache.end()) {
@@ -113,43 +85,9 @@ const HybridRowSet& PostingIndex::Postings(size_t col, ValueId v) {
   return Insert(col, v, table_->ScanEquals(col, v)).rows;
 }
 
-void PostingIndex::PrivatizeColumn(size_t col) {
-  if (shared_ == nullptr || col_private_[col] != 0) return;
-  col_private_[col] = 1;
-  // Promote every pinned shared entry into a private LRU entry. The bits
-  // (and representation — entries were built under this plane's Compact
-  // policy) are copied verbatim, so the session observes exactly the
-  // bitmaps it has been serving, now patchable in place.
-  for (auto& [v, entry] : shared_views_[col]) {
-    lru_.push_front(Key{col, v});
-    Entry& e = cache_[col][v];
-    e.rows = *entry;
-    e.lru_it = lru_.begin();
-    e.bytes = EntryBytes(e.rows);
-    bytes_ += e.bytes;
-  }
-  shared_views_[col].clear();
-}
-
-size_t PostingIndex::SharedViewEntries() const {
-  size_t n = 0;
-  for (const auto& views : shared_views_) n += views.size();
-  return n;
-}
-
-size_t PostingIndex::SharedViewBytes() const {
-  size_t bytes = 0;
-  for (const auto& views : shared_views_) {
-    for (const auto& [v, entry] : views) bytes += entry->HeapBytes();
-  }
-  return bytes;
-}
-
 void PostingIndex::BuildColumn(size_t col, ThreadPool* pool) {
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Global();
-  // A full build replaces whatever the column held and reflects the
-  // *current* table, which may already have diverged from the base
-  // snapshot — the column leaves the shared tier.
+  // A full build replaces whatever the column held.
   InvalidateColumn(col);
   Timer timer(&stats_.scan_ms);
   const ValueId* column = table_->column(col).data();
@@ -207,13 +145,6 @@ void PostingIndex::ApplyAppend(size_t old_rows) {
   if (new_rows == old_rows) return;
   Timer timer(&stats_.append_ms);
   stats_.append_rows += new_rows - old_rows;
-  // The appended table is no longer the base snapshot: every column leaves
-  // the shared tier. Pinned shared entries are promoted into private
-  // copies first so sessions keep serving the bitmaps they handed out —
-  // then patched below exactly like native private entries.
-  if (shared_ != nullptr) {
-    for (size_t c = 0; c < cache_.size(); ++c) PrivatizeColumn(c);
-  }
   std::vector<Entry*> touched;
   for (size_t c = 0; c < cache_.size(); ++c) {
     ColumnCache& cache = cache_[c];
@@ -244,7 +175,6 @@ void PostingIndex::ApplyCellDelta(size_t col, size_t row, ValueId old_value,
                                   ValueId new_value) {
   if (old_value == new_value) return;
   Timer timer(&stats_.delta_ms);
-  PrivatizeColumn(col);
   ColumnCache& cache = cache_[col];
   if (cache.empty()) return;
   std::vector<Entry*> touched;
@@ -259,13 +189,6 @@ void PostingIndex::ApplyCellDelta(size_t col, size_t row, ValueId old_value,
 }
 
 void PostingIndex::InvalidateColumn(size_t col) {
-  // Invalidation implies the column's contents changed (or are about to):
-  // it leaves the shared tier for good. No promotion — the point of this
-  // path is to rescan on the next probe anyway.
-  if (shared_ != nullptr) {
-    col_private_[col] = 1;
-    shared_views_[col].clear();
-  }
   ColumnCache& cache = cache_[col];
   for (auto it = cache.begin(); it != cache.end(); ++it) {
     lru_.erase(it->second.lru_it);
@@ -275,10 +198,6 @@ void PostingIndex::InvalidateColumn(size_t col) {
 }
 
 void PostingIndex::InvalidateAll() {
-  if (shared_ != nullptr) {
-    col_private_.assign(col_private_.size(), 1);
-    for (auto& views : shared_views_) views.clear();
-  }
   for (auto& m : cache_) m.clear();
   lru_.clear();
   bytes_ = 0;

@@ -1,7 +1,9 @@
 #include "service/protocol.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 namespace falcon {
 namespace {
@@ -43,6 +45,43 @@ StatusOr<uint64_t> SeqField(const JsonValue& request) {
   return static_cast<uint64_t>(v->AsInt());
 }
 
+/// Reads open_session's numeric fields into `params`: the one place they
+/// are checked. An absent field keeps its default; a present one must be a
+/// number. A negative budget would wrap to 2^64 - 1 as a size_t, and a
+/// mistake probability must be a finite value in [0, 1]. The scale's range
+/// is checked where the workload is built (MakeCleaningWorkload).
+Status ReadOpenNumbers(const JsonValue& request,
+                       SessionManager::OpenParams* params) {
+  for (const char* key : {"scale", "seed", "budget", "question_mistake_prob",
+                          "update_mistake_prob"}) {
+    const JsonValue* v = request.Find(key);
+    if (v != nullptr && !v->is_number()) {
+      return Status::InvalidArgument(std::string(key) + " must be a number");
+    }
+  }
+  params->scale = request.GetDouble("scale", params->scale);
+  params->seed = static_cast<uint64_t>(
+      request.GetInt("seed", static_cast<int64_t>(params->seed)));
+  if (const JsonValue* budget = request.Find("budget")) {
+    double b = budget->AsDouble();
+    if (!(b >= 0.0 && b < 0x1p63)) {
+      return Status::InvalidArgument("budget must be a non-negative integer");
+    }
+    params->budget = static_cast<size_t>(budget->AsInt());
+  }
+  for (auto [key, out] :
+       {std::pair{"question_mistake_prob", &params->question_mistake_prob},
+        std::pair{"update_mistake_prob", &params->update_mistake_prob}}) {
+    double p = request.GetDouble(key, *out);
+    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+      return Status::InvalidArgument(std::string(key) +
+                                     " must be a finite value in [0, 1]");
+    }
+    *out = p;
+  }
+  return Status::Ok();
+}
+
 JsonValue StatusResponse(const SessionStatus& st) {
   JsonValue r = OkResponse();
   const JsonValue body = StatusBody(st);
@@ -63,15 +102,9 @@ JsonValue HandleOpen(SessionManager& manager, const JsonValue& request) {
   }
 
   SessionManager::OpenParams params;
+  Status numbers = ReadOpenNumbers(request, &params);
+  if (!numbers.ok()) return ErrorResponse(numbers);
   params.dataset = request.GetString("dataset", params.dataset);
-  params.scale = request.GetDouble("scale", params.scale);
-  params.seed = static_cast<uint64_t>(
-      request.GetInt("seed", static_cast<int64_t>(params.seed)));
-  params.budget = static_cast<size_t>(
-      request.GetInt("budget", static_cast<int64_t>(params.budget)));
-  params.question_mistake_prob =
-      request.GetDouble("question_mistake_prob", 0.0);
-  params.update_mistake_prob = request.GetDouble("update_mistake_prob", 0.0);
   params.algorithm = request.GetString("algorithm", params.algorithm);
   params.posting_delta = request.GetBool("posting_delta", params.posting_delta);
   params.compressed_rowsets =
@@ -170,16 +203,7 @@ JsonValue HandlePing(SessionManager& manager) {
   r.Set("live_sessions", h.live_sessions);
   r.Set("max_sessions", h.max_sessions);
   r.Set("recovered_sessions", h.recovered_sessions);
-  // Private-tier bytes summed across sessions; shared-tier bytes counted
-  // once per base cache — the two never overlap, so their sum is true
-  // process residency (no N-session double-count of shared bitmaps).
   r.Set("posting_resident_bytes", h.posting_resident_bytes);
-  r.Set("shared_bases", h.shared_bases);
-  r.Set("shared_resident_bytes", h.shared_resident_bytes);
-  r.Set("shared_entries", h.shared_entries);
-  r.Set("shared_hits", h.shared_hits);
-  r.Set("shared_misses", h.shared_misses);
-  r.Set("shared_hit_rate", h.shared_hit_rate());
   r.Set("rows_appended", h.rows_appended);
   r.Set("append_batches", h.append_batches);
   return r;
@@ -215,15 +239,10 @@ JsonValue StatusBody(const SessionStatus& st) {
   metrics.Set("converged", st.metrics.converged);
   metrics.Set("benefit", st.metrics.Benefit());
   metrics.Set("posting_entries", st.metrics.posting_entries);
-  // Private-tier residency; the shared tier is resident once process-wide
-  // and reported both per session (pinned bytes) and once in `ping`.
   metrics.Set("posting_resident_bytes", st.metrics.posting_resident_bytes);
   metrics.Set("posting_compression", st.metrics.posting_compression);
   metrics.Set("posting_hits", st.metrics.posting_hits);
   metrics.Set("posting_misses", st.metrics.posting_misses);
-  metrics.Set("posting_shared_hits", st.metrics.posting_shared_hits);
-  metrics.Set("posting_shared_misses", st.metrics.posting_shared_misses);
-  metrics.Set("posting_shared_bytes", st.metrics.posting_shared_bytes);
   // Streaming-append counters (AppendBatch-fed sessions; zero otherwise).
   metrics.Set("rows_appended", st.metrics.rows_appended);
   metrics.Set("append_batches", st.metrics.append_batches);
@@ -231,7 +250,6 @@ JsonValue StatusBody(const SessionStatus& st) {
   metrics.Set("ingest_rows_per_s", st.metrics.ingest_rows_per_s);
   // Derived rates so nobody recomputes them from counter pairs by hand.
   metrics.Set("posting_hit_rate", st.metrics.PostingHitRate());
-  metrics.Set("posting_shared_hit_rate", st.metrics.PostingSharedHitRate());
 
   JsonValue body = JsonValue::Object();
   body.Set("session", st.id);

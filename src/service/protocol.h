@@ -10,6 +10,9 @@
 //   open_session  {dataset, scale, seed, budget, question_mistake_prob,
 //                  update_mistake_prob, algorithm, posting_delta}
 //                                                  → {session}
+//                  (numeric fields must be numbers; budget >= 0 and both
+//                  mistake probabilities finite in [0, 1], else
+//                  INVALID_ARGUMENT before anything is built)
 //   open_session  {resume: "s-<n>"}                → status body (resumes a
 //                  live, evicted, or journal-recovered session; the body's
 //                  last_seq re-syncs the client's idempotency counter)

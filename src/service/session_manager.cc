@@ -141,8 +141,7 @@ std::string SessionManager::MetaPath(const std::string& id) const {
 }
 
 StatusOr<std::shared_ptr<const CleaningWorkload>> SessionManager::AcquireBase(
-    const std::string& dataset, double scale, std::string* key_out,
-    std::shared_ptr<SharedBaseCache>* cache_out) {
+    const std::string& dataset, double scale, std::string* key_out) {
   // Key includes the scale so differently-sized instances of one dataset
   // coexist; %g keeps the key stable for equal doubles.
   char key[128];
@@ -152,15 +151,13 @@ StatusOr<std::shared_ptr<const CleaningWorkload>> SessionManager::AcquireBase(
     std::lock_guard<std::mutex> lock(base_mu_);
     auto it = bases_.find(key);
     if (it != bases_.end()) {
-      *cache_out = AttachBaseLocked(key);
+      AttachBaseLocked(key);
       return it->second.workload;
     }
   }
   // Build outside the lock: workload generation takes seconds at scale and
   // must not block unrelated sessions. A racing open of the same dataset
-  // builds twice; first insert wins and both get the same table (and, via
-  // AttachBaseLocked, the same shared tier keyed on the winner's
-  // snapshot id).
+  // builds twice; first insert wins and both get the same table.
   FALCON_ASSIGN_OR_RETURN(CleaningWorkload w,
                           MakeCleaningWorkload(dataset, scale));
   auto base = std::make_shared<const CleaningWorkload>(std::move(w));
@@ -168,26 +165,18 @@ StatusOr<std::shared_ptr<const CleaningWorkload>> SessionManager::AcquireBase(
   auto [it, inserted] = bases_.emplace(key, BaseEntry{});
   if (inserted) it->second.workload = std::move(base);
   // Attached before eviction runs, so the new base counts as live.
-  *cache_out = AttachBaseLocked(key);
+  AttachBaseLocked(key);
   EvictIdleBasesLocked();
   return it->second.workload;
 }
 
-std::shared_ptr<SharedBaseCache> SessionManager::AttachBaseLocked(
-    const std::string& key) {
+void SessionManager::AttachBaseLocked(const std::string& key) {
   auto it = bases_.find(key);
-  if (it == bases_.end()) return nullptr;
+  if (it == bases_.end()) return;
   BaseEntry& entry = it->second;
   ++entry.live_sessions;
   entry.last_touch_ns =
       std::chrono::steady_clock::now().time_since_epoch().count();
-  if (!limits_.shared_base_cache) return nullptr;
-  if (entry.cache == nullptr) {
-    entry.cache = std::make_shared<SharedBaseCache>(
-        entry.workload->snapshot_id, entry.workload->dirty.num_cols(),
-        limits_.shared_cache_budget_bytes);
-  }
-  return entry.cache;
 }
 
 void SessionManager::ReleaseBaseLocked(const std::string& key) {
@@ -197,13 +186,7 @@ void SessionManager::ReleaseBaseLocked(const std::string& key) {
   if (entry.live_sessions > 0) --entry.live_sessions;
   entry.last_touch_ns =
       std::chrono::steady_clock::now().time_since_epoch().count();
-  if (entry.live_sessions == 0 && entry.cache != nullptr) {
-    // Last session on this base: drop the tier (retire the generation so
-    // lingering pins in stragglers stay valid but nothing new is served).
-    // The workload stays cached for the next open, up to kMaxCachedBases.
-    entry.cache->Invalidate();
-    entry.cache.reset();
-  }
+  // The workload stays cached for the next open, up to kMaxCachedBases.
   if (entry.live_sessions == 0) EvictIdleBasesLocked();
 }
 
@@ -222,30 +205,6 @@ void SessionManager::EvictIdleBasesLocked() {
   }
 }
 
-void SessionManager::EnforceSharedBudgetLocked() {
-  if (limits_.shared_cache_budget_bytes == 0) return;
-  for (;;) {
-    size_t total = 0;
-    BaseEntry* oldest = nullptr;
-    for (auto& [key, entry] : bases_) {
-      if (entry.cache == nullptr) continue;
-      size_t bytes = entry.cache->resident_bytes();
-      total += bytes;
-      if (bytes > 0 && (oldest == nullptr ||
-                        entry.last_touch_ns < oldest->last_touch_ns)) {
-        oldest = &entry;
-      }
-    }
-    if (total <= limits_.shared_cache_budget_bytes || oldest == nullptr) {
-      return;
-    }
-    // Whole-cache LRU: sessions on the invalidated base keep their pins
-    // (RCU grace) and refill organically; the epoch bump rejects any
-    // publish computed against the retired generation.
-    oldest->cache->Invalidate();
-  }
-}
-
 void SessionManager::TouchBase(const std::string& key) {
   std::lock_guard<std::mutex> lock(base_mu_);
   auto it = bases_.find(key);
@@ -253,27 +212,22 @@ void SessionManager::TouchBase(const std::string& key) {
     it->second.last_touch_ns =
         std::chrono::steady_clock::now().time_since_epoch().count();
   }
-  EnforceSharedBudgetLocked();
 }
 
 StatusOr<std::shared_ptr<SessionManager::ServiceSession>>
 SessionManager::Build(const OpenParams& params, const std::string& id) {
   FALCON_ASSIGN_OR_RETURN(SearchKind kind, ParseSearchKind(params.algorithm));
-  // Attaches to the base and its shared read tier now (refcounted): the
-  // session options below carry the cache pointer into the CleaningSession.
-  // Every exit path that fails to register this session must
-  // ReleaseBaseLocked.
+  // Attaches to the base now (refcounted). Every exit path that fails to
+  // register this session must ReleaseBaseLocked.
   std::string base_key;
-  std::shared_ptr<SharedBaseCache> shared_cache;
-  FALCON_ASSIGN_OR_RETURN(auto base, AcquireBase(params.dataset, params.scale,
-                                                 &base_key, &shared_cache));
+  FALCON_ASSIGN_OR_RETURN(auto base,
+                          AcquireBase(params.dataset, params.scale, &base_key));
 
   auto s = std::make_shared<ServiceSession>(base);
   s->id = id;
   s->dataset = params.dataset;
   s->params = params;
   s->base_key = base_key;
-  s->shared_cache = std::move(shared_cache);
   // The oracle mirrors the session's internal construction
   // (question_mistake_prob, seed + 1) so an answer-free service run is
   // bit-identical to a serial RunCleaning with the same options.
@@ -289,10 +243,6 @@ SessionManager::Build(const OpenParams& params, const std::string& id) {
   options.posting_delta = params.posting_delta;
   options.compressed_rowsets = params.compressed_rowsets;
   options.oracle = s->oracle.get();
-  if (s->shared_cache != nullptr) {
-    options.shared_cache = s->shared_cache.get();
-    options.base_snapshot_id = base->snapshot_id;
-  }
   if (limits_.posting_budget_bytes > 0) {
     options.posting_budget_bytes =
         limits_.posting_budget_bytes / limits_.max_sessions;
@@ -593,8 +543,7 @@ StatusOr<SessionStatus> SessionManager::Mutate(
   if (seq > 0) s->last_seq = seq;
   StatusOr<SessionStatus> result = op(*s);
   s->Touch();
-  // Keep the base's LRU clock current and the aggregate shared budget
-  // enforced (ops are where shared-tier publishes happen).
+  // Keep the base's LRU clock current for idle-base eviction.
   TouchBase(s->base_key);
   if (seq > 0) {
     s->seq_window.emplace_back(seq, result);
@@ -683,8 +632,7 @@ Status SessionManager::CloseInternal(const std::string& id,
   // as an orphan at the next startup scan. Eviction and graceful shutdown
   // keep them so the session stays resumable.
   if (delete_artifacts) DeleteArtifacts(id);
-  // The session (and its shared-tier pins) is gone: release the base.
-  // The last close on a base drops its shared cache. Lock order is
+  // The session is gone: release the base. Lock order is
   // s->mu → base_mu_ here, matching Mutate's op → TouchBase sequence;
   // base_mu_ is never held while acquiring a session or shard mutex.
   {
@@ -757,18 +705,6 @@ ServiceHealth SessionManager::Health() const {
       h.rows_appended += s->rows_appended.load(std::memory_order_relaxed);
       h.append_batches += s->append_batches.load(std::memory_order_relaxed);
     }
-  }
-  std::lock_guard<std::mutex> lock(base_mu_);
-  // Shared tiers are counted once per base — never per attached session —
-  // so ops dashboards see true process residency, not N× the same bitmap.
-  for (const auto& [key, entry] : bases_) {
-    if (entry.cache == nullptr) continue;
-    ++h.shared_bases;
-    SharedBaseCacheStats cs = entry.cache->Stats();
-    h.shared_resident_bytes += cs.resident_bytes;
-    h.shared_entries += cs.entries;
-    h.shared_hits += cs.posting_hits;
-    h.shared_misses += cs.posting_misses;
   }
   return h;
 }

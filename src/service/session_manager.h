@@ -11,10 +11,9 @@
 //     Open/RecoverOne reserve a slot up front and release it on every
 //     failure path, so the live count is never transiently negative or
 //     double-counted and needs no global lock.
-//   - The dataset cache and shared base tiers (`bases_`) sit behind their
-//     own mutex (`base_mu_`), acquired after a session's mutex when both
-//     are needed (Mutate → TouchBase, CloseInternal) and never while a
-//     shard mutex is held.
+//   - The dataset cache (`bases_`) sits behind its own mutex (`base_mu_`),
+//     acquired after a session's mutex when both are needed (Mutate →
+//     TouchBase, CloseInternal) and never while a shard mutex is held.
 //   - Each session has its own mutex serializing all operations on it
 //     (step, update_cell, answer, retract, status, close). Two requests
 //     for the same session queue up; requests for different sessions run
@@ -30,24 +29,15 @@
 //     read in place by every session concurrently — nothing writes it.
 //
 // Isolation: per-session journal file, RNG seed, oracle, search-algorithm
-// instance, and a slice of the global posting-index byte budget
-// (total / max_sessions), so one session's cache pressure cannot starve
-// the others.
+// instance, and posting index. Each session keeps its own posting cache
+// over its working table, capped at a slice of the global posting-index
+// byte budget (total / max_sessions), so one session's cache pressure
+// cannot starve the others.
 //
-// Shared base tier (DESIGN.md "Shared base cache & epoch invalidation")
-//   - Each bases_ entry owns at most one SharedBaseCache keyed on the
-//     workload's snapshot id. Sessions opened over that base attach to it:
-//     postings and pairwise intersections over columns a session has not
-//     mutated are computed once process-wide and served to every session.
-//   - Lifecycle: the cache is created when the first session registers on
-//     a base and dropped (whole-tier invalidation + release) when the
-//     last session on that base closes; the workload itself stays cached
-//     until more than kMaxCachedBases bases are, when the least recently
-//     touched idle ones are evicted.
-//   - Budget: each cache is capped at shared_cache_budget_bytes
-//     (publish-time rejection), and the same number bounds the *sum*
-//     across bases — exceeded, the least-recently-touched base's tier is
-//     invalidated (LRU across bases, whole caches at a time).
+// Base lifecycle: each bases_ entry counts the live sessions opened over
+// it. A base with a live session is never evicted; idle bases stay cached
+// for later opens until more than kMaxCachedBases are, when the least
+// recently touched idle ones are evicted.
 //
 // Crash recovery (DESIGN.md "Service fault tolerance & recovery")
 //   - With a journal_dir configured, every Open writes an `<id>.meta`
@@ -89,7 +79,6 @@
 #include "common/status.h"
 #include "core/search.h"
 #include "core/session.h"
-#include "core/shared_base_cache.h"
 #include "datagen/workload.h"
 #include "service/scripted_oracle.h"
 
@@ -108,13 +97,6 @@ struct ServiceLimits {
   /// Sessions idle longer than this are closed by EvictIdle() (0 = never).
   /// Evicted sessions keep their journal + meta and can be resumed.
   double idle_timeout_s = 0.0;
-  /// Attach sessions on one base to a process-wide SharedBaseCache of
-  /// postings + pairwise intersections (pure acceleration; bit-identical
-  /// behaviour). Off restores fully independent per-session caches.
-  bool shared_base_cache = true;
-  /// Byte cap per shared cache *and* on the sum across bases (LRU
-  /// whole-cache invalidation when the aggregate exceeds it; 0 = unbounded).
-  size_t shared_cache_budget_bytes = 256u << 20;
   /// Lock stripes for the session registry (clamped to ≥ 1). Sessions
   /// hash to a stripe by id; more stripes = less registry contention at
   /// high session counts, at a few hundred bytes each.
@@ -143,28 +125,13 @@ struct ServiceHealth {
   /// Sessions replayed from journals since construction (startup scan +
   /// lazy resumes).
   size_t recovered_sessions = 0;
-  /// Aggregate *private-tier* posting-cache resident bytes across live
-  /// sessions, as of each session's last status snapshot. Shared-tier
-  /// bytes are deliberately excluded: they are resident once per base,
-  /// not once per session, and are reported below.
+  /// Aggregate posting-cache resident bytes across live sessions, as of
+  /// each session's last status snapshot.
   size_t posting_resident_bytes = 0;
-  /// Shared base tier, counted once per base cache (never per session).
-  size_t shared_bases = 0;           ///< bases_ entries with a live cache.
-  size_t shared_resident_bytes = 0;  ///< Σ cache resident bytes.
-  size_t shared_entries = 0;         ///< Σ cached shared postings.
-  size_t shared_hits = 0;            ///< Σ shared posting hits.
-  size_t shared_misses = 0;          ///< Σ shared posting misses.
   /// Streaming-append aggregates across live sessions (as of each
   /// session's last status snapshot).
   size_t rows_appended = 0;
   size_t append_batches = 0;
-  /// Derived shared hit rate in [0, 1] (0.0 with no probes).
-  double shared_hit_rate() const {
-    size_t total = shared_hits + shared_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(shared_hits) /
-                            static_cast<double>(total);
-  }
 };
 
 class SessionManager {
@@ -182,9 +149,8 @@ class SessionManager {
     /// posting_delta); exposed so both posting modes are exercisable over
     /// the wire.
     bool posting_delta = true;
-    /// Row-set representation (SessionOptions::compressed_rowsets);
-    /// exposed so both representations are exercisable over the wire —
-    /// the shared base tier keeps dense and compressed planes separate.
+    /// Posting storage (SessionOptions::compressed_rowsets); exposed so
+    /// both representations are exercisable over the wire.
     bool compressed_rowsets = true;
   };
 
@@ -260,11 +226,6 @@ class SessionManager {
     std::string dataset;
     std::mutex mu;  ///< Serializes all operations on this session.
     std::shared_ptr<const CleaningWorkload> base;
-    /// The base's shared read tier (null when disabled). Co-owned so a
-    /// session outliving the manager's bases_ entry (straggler holding
-    /// the shared_ptr) never dangles; the manager's release on last-close
-    /// drops discoverability, refcounts handle the rest.
-    std::shared_ptr<SharedBaseCache> shared_cache;
     std::string base_key;  ///< bases_ key, for the close-time release.
     Table working;         ///< COW clone of base->dirty.
     std::unique_ptr<ScriptedOracle> oracle;
@@ -298,48 +259,35 @@ class SessionManager {
     }
   };
 
-  /// One cached immutable base plus its shared read tier and the count of
-  /// live sessions attached to it.
+  /// One cached immutable base and the count of live sessions on it.
   struct BaseEntry {
     std::shared_ptr<const CleaningWorkload> workload;
-    /// Created on first attach, dropped when live_sessions returns to 0
-    /// (the workload itself stays cached). Null while no session is open
-    /// on this base or when limits_.shared_base_cache is off.
-    std::shared_ptr<SharedBaseCache> cache;
     size_t live_sessions = 0;
     /// steady_clock nanos of the last operation by any attached session;
-    /// the cross-base LRU invalidates the oldest tier first.
+    /// idle-base eviction drops the oldest first.
     int64_t last_touch_ns = 0;
   };
 
   /// Builds or fetches the shared immutable base for (dataset, scale) and
   /// registers a live session on it (AttachBaseLocked) in the same
   /// base_mu_ section, so eviction cannot drop it in between. Returns the
-  /// workload and writes the bases_ key to *key_out and the session's
-  /// shared tier (null when disabled) to *cache_out. The caller owes one
+  /// workload and writes the bases_ key to *key_out. The caller owes one
   /// ReleaseBaseLocked.
   StatusOr<std::shared_ptr<const CleaningWorkload>> AcquireBase(
-      const std::string& dataset, double scale, std::string* key_out,
-      std::shared_ptr<SharedBaseCache>* cache_out);
+      const std::string& dataset, double scale, std::string* key_out);
 
   /// Registers a live session on its base under base_mu_: bumps the
-  /// refcount and creates the shared tier if this is the first attach.
-  /// Returns the cache to hand to the session (null when disabled).
-  std::shared_ptr<SharedBaseCache> AttachBaseLocked(const std::string& key);
-  /// Last-close bookkeeping under base_mu_: decrements the refcount, drops
-  /// the base's shared tier when it reaches zero, and evicts idle bases
-  /// beyond kMaxCachedBases.
+  /// refcount and stamps the base's LRU clock.
+  void AttachBaseLocked(const std::string& key);
+  /// Last-close bookkeeping under base_mu_: decrements the refcount and
+  /// evicts idle bases beyond kMaxCachedBases.
   void ReleaseBaseLocked(const std::string& key);
   /// Erases least-recently-touched idle bases until at most
   /// kMaxCachedBases remain or every remaining base is live. Call under
   /// base_mu_.
   void EvictIdleBasesLocked();
-  /// Cross-base LRU: while Σ cache bytes exceeds the budget, invalidates
-  /// the least-recently-touched tier with resident bytes. Call under
-  /// base_mu_.
-  void EnforceSharedBudgetLocked();
-  /// Stamps the base's LRU clock and enforces the aggregate budget (takes
-  /// base_mu_ briefly; called after session operations).
+  /// Stamps the base's LRU clock (takes base_mu_ briefly; called after
+  /// session operations).
   void TouchBase(const std::string& key);
 
   StatusOr<std::shared_ptr<ServiceSession>> Lookup(const std::string& id);
@@ -380,7 +328,7 @@ class SessionManager {
   /// Session registry, lock-striped by id hash. Sized at construction;
   /// never resized (Shard is not movable).
   mutable std::vector<Shard> shards_;
-  mutable std::mutex base_mu_;  ///< Guards bases_ (workloads + shared tiers).
+  mutable std::mutex base_mu_;  ///< Guards bases_.
   std::map<std::string, BaseEntry> bases_;
   std::atomic<uint64_t> next_id_{1};
   /// Live + under-construction sessions: reserved before Build, released

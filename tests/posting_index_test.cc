@@ -268,9 +268,14 @@ TEST(PostingIndexTest, CompressedPostingsMatchDenseUnderRandomWrites) {
 }
 
 // Exact byte accounting: cached_bytes always equals the sum of per-entry
-// footprints, across inserts, delta patches, and evictions, in both modes.
+// footprints — measured bitmap heap bytes plus the flat per-entry charge —
+// across inserts, single-cell and multi-row delta patches, appends, full
+// column builds, invalidation and budget eviction, in both storage modes.
+// CleaningSession reports posting_resident_bytes from this identity
+// instead of walking the cache.
 TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
   for (bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "compressed" : "dense");
     Rng rng(515);
     Table table = MakeRandomTable(20000, 2, 32, &rng);
     std::vector<ValueId> alphabet;
@@ -280,12 +285,24 @@ TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
     PostingIndexOptions opts;
     opts.delta_maintenance = true;
     opts.compressed = compressed;
+    // Only Trim() enforces the budget, so it bites at the end alone.
+    opts.byte_budget = 16 << 10;
     PostingIndex index(&table, opts);
+    auto expect_exact = [&](const char* after) {
+      PostingStorageStats storage = index.StorageStats();
+      EXPECT_EQ(storage.entries, index.cached_entries()) << after;
+      EXPECT_EQ(index.cached_bytes(),
+                storage.resident_bytes +
+                    PostingIndex::kEntryOverheadBytes * index.cached_entries())
+          << after;
+    };
     for (size_t c = 0; c < table.num_cols(); ++c) {
       for (size_t a = 0; a < alphabet.size(); a += 3) {
         index.Postings(c, alphabet[a]);
       }
     }
+    expect_exact("probes");
+
     for (int step = 0; step < 100; ++step) {
       size_t row = rng.NextUint(table.num_rows());
       size_t col = rng.NextUint(table.num_cols());
@@ -294,11 +311,38 @@ TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
       index.ApplyCellDelta(col, row, old_value, new_value);
       table.set_cell(row, col, new_value);
     }
-    // cached_bytes carries a fixed 64-byte bookkeeping overhead per entry
-    // on top of the measured bitmap heap bytes.
-    EXPECT_EQ(index.cached_bytes(),
-              index.StorageStats().resident_bytes + 64 * index.cached_entries())
-        << "compressed=" << compressed;
+    expect_exact("ApplyCellDelta");
+
+    for (int step = 0; step < 10; ++step) {
+      size_t col = rng.NextUint(table.num_cols());
+      ValueId new_value = alphabet[rng.NextUint(alphabet.size())];
+      RowSet rows(table.num_rows());
+      for (int i = 0; i < 500; ++i) rows.Set(rng.NextUint(table.num_rows()));
+      index.ApplyDelta(
+          col, rows, [&](size_t r) { return table.cell(r, col); }, new_value);
+      rows.ForEach([&](size_t r) { table.set_cell(r, col, new_value); });
+    }
+    expect_exact("ApplyDelta");
+
+    size_t old_rows = table.num_rows();
+    for (int i = 0; i < 3000; ++i) {
+      table.AppendRowIds({alphabet[rng.NextUint(alphabet.size())],
+                          alphabet[rng.NextUint(alphabet.size())]});
+    }
+    index.ApplyAppend(old_rows);
+    expect_exact("ApplyAppend");
+
+    index.BuildColumn(1);
+    expect_exact("BuildColumn");
+
+    index.InvalidateColumn(0);
+    expect_exact("InvalidateColumn");
+
+    ASSERT_GT(index.cached_bytes(), opts.byte_budget);
+    index.Trim();
+    EXPECT_LE(index.cached_bytes(), opts.byte_budget);
+    EXPECT_GT(index.stats().evictions, 0u);
+    expect_exact("Trim");
   }
 }
 

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/status.h"
+#include "datagen/workload.h"
 #include "service/session_manager.h"
 
 namespace falcon {
@@ -176,9 +177,28 @@ TEST(SessionShardTest, SharedBaseSurvivesUntilLastCrossShardClose) {
   limits.session_shards = 8;
   SessionManager manager(limits);
 
-  // Same (dataset, scale, config) → one shared base, pinned by sessions
-  // whose ids hash to different shards. The base (and its shared cache
-  // tier) must outlive any single shard's sessions and die on last close.
+  // Workload builds since `before`: NextWorkloadSnapshotId() draws one id
+  // itself, and every build draws one more.
+  auto builds_since = [](uint64_t before) {
+    return NextWorkloadSnapshotId() - before - 1;
+  };
+  // Opens and closes one session on each of kMaxCachedBases new bases, so
+  // every base that was idle before is evicted.
+  auto churn_other_bases = [&](size_t first) {
+    for (size_t i = first; i < first + SessionManager::kMaxCachedBases;
+         ++i) {
+      SessionManager::OpenParams p = SmallParams(42);
+      p.scale = kScale + 0.001 * static_cast<double>(i + 1);
+      auto id = manager.Open(p);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_TRUE(manager.Close(*id).ok());
+    }
+  };
+
+  // Same (dataset, scale) → one shared base, pinned by sessions whose ids
+  // hash to different shards. The base is built once and must outlive any
+  // single shard's sessions.
+  uint64_t before = NextWorkloadSnapshotId();
   std::vector<std::string> ids;
   for (uint64_t i = 0; i < 8; ++i) {
     auto id = manager.Open(SmallParams(42));  // Same seed: same base.
@@ -187,26 +207,38 @@ TEST(SessionShardTest, SharedBaseSurvivesUntilLastCrossShardClose) {
     ASSERT_TRUE(st.ok());
     ids.push_back(*id);
   }
-  ServiceHealth warm = manager.Health();
-  EXPECT_EQ(warm.shared_bases, 1u);
-  EXPECT_GT(warm.shared_resident_bytes, 0u);
+  EXPECT_EQ(builds_since(before), 1u);
+  EXPECT_EQ(manager.Health().live_sessions, 8u);
+  EXPECT_EQ(manager.cached_bases(), 1u);
 
-  // Close all but one: the survivor keeps the base alive.
+  // Close all but one: the survivor keeps the base live through eviction
+  // pressure, so a later open on it builds nothing.
   for (size_t i = 0; i + 1 < ids.size(); ++i) {
     ASSERT_TRUE(manager.Close(ids[i]).ok());
   }
   ServiceHealth one_left = manager.Health();
   EXPECT_EQ(one_left.live_sessions, 1u);
-  EXPECT_EQ(one_left.shared_bases, 1u);
+  EXPECT_EQ(manager.cached_bases(), 1u);
+  churn_other_bases(0);
+  EXPECT_LE(manager.cached_bases(), SessionManager::kMaxCachedBases);
+  before = NextWorkloadSnapshotId();
+  auto again = manager.Open(SmallParams(42));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(builds_since(before), 0u);
+  ASSERT_TRUE(manager.Close(*again).ok());
   auto st = manager.Info(ids.back());
   ASSERT_TRUE(st.ok());
 
-  // Last close drops the shared tier.
+  // After the last close the base is idle, so eviction may drop it: the
+  // next open on it rebuilds.
   ASSERT_TRUE(manager.Close(ids.back()).ok());
-  ServiceHealth empty = manager.Health();
-  EXPECT_EQ(empty.live_sessions, 0u);
-  EXPECT_EQ(empty.shared_bases, 0u);
-  EXPECT_EQ(empty.shared_resident_bytes, 0u);
+  EXPECT_EQ(manager.Health().live_sessions, 0u);
+  churn_other_bases(SessionManager::kMaxCachedBases);
+  before = NextWorkloadSnapshotId();
+  auto rebuilt = manager.Open(SmallParams(42));
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(builds_since(before), 1u);
+  ASSERT_TRUE(manager.Close(*rebuilt).ok());
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <limits>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -251,6 +254,56 @@ TEST(ProtocolTest, OpenSessionRejectsOutOfRangeScale) {
   }
   EXPECT_EQ(manager.cached_bases(), 0u);
   EXPECT_EQ(manager.active_sessions(), 0u);
+}
+
+// open_session's numeric fields are checked in one place before anything
+// is built: a negative budget (it would wrap to 2^64 - 1), a mistake
+// probability that is not finite or outside [0, 1], and a non-number in a
+// numeric field are refused with no session opened and no base cached.
+TEST(ProtocolTest, OpenSessionRejectsInvalidNumericFields) {
+  SessionManager manager(ServiceLimits{});
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, JsonValue>> cases = {
+      {"budget", JsonValue(int64_t{-1})},
+      {"budget", JsonValue(-0.5)},
+      {"budget", JsonValue(kNan)},
+      {"budget", JsonValue("3")},
+      {"seed", JsonValue("7")},
+      {"scale", JsonValue(true)},
+  };
+  for (const char* prob : {"question_mistake_prob", "update_mistake_prob"}) {
+    for (double bad : {kNan, kInf, -kInf, -0.1, 1.5}) {
+      cases.emplace_back(prob, JsonValue(bad));
+    }
+    cases.emplace_back(prob, JsonValue("0.1"));
+  }
+  for (const auto& [field, value] : cases) {
+    SCOPED_TRACE(field + "=" + value.Serialize());
+    JsonValue open = JsonValue::Object();
+    open.Set("verb", "open_session");
+    open.Set("dataset", "Synth10k");
+    open.Set("scale", kScale);
+    open.Set(field, value);
+    JsonValue r = HandleRequest(manager, open);
+    EXPECT_FALSE(r.GetBool("ok")) << r.Serialize();
+    EXPECT_EQ(r.GetString("code"), "INVALID_ARGUMENT");
+    EXPECT_EQ(manager.active_sessions(), 0u);
+    EXPECT_EQ(manager.cached_bases(), 0u);
+  }
+
+  // The bounds themselves are valid.
+  JsonValue open = JsonValue::Object();
+  open.Set("verb", "open_session");
+  open.Set("dataset", "Synth10k");
+  open.Set("scale", kScale);
+  open.Set("budget", 0);
+  open.Set("question_mistake_prob", 0.0);
+  open.Set("update_mistake_prob", 1.0);
+  JsonValue r = HandleRequest(manager, open);
+  ASSERT_TRUE(r.GetBool("ok")) << r.Serialize();
+  EXPECT_EQ(manager.active_sessions(), 1u);
+  manager.CloseAll();
 }
 
 // Every distinct scale builds its own base; enumerating scales must not
