@@ -16,13 +16,19 @@
 //     posting-storage resident bytes + compression ratio + evictions under
 //     a shared byte budget, and a dense-vs-compressed session A/B whose
 //     final-table CRCs must match bit-for-bit.
+//  5. Build scaling: BuildColumn over the bounded-domain columns at N and
+//     10N rows (10N = the bench's row count), median of 5 builds each, and
+//     a digest of the built postings (rows, representation, bytes) against
+//     per-value scans, which must match.
 //
 // All errors are concentrated on one FD target attribute so every episode
 // repairs the same column — the workload where cache lifetime matters.
 // Emits BENCH_micro_postings.json. Default 1M rows; --quick shrinks to
 // 100k for CI smoke, --scale=<f> multiplies the row count.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -371,6 +377,75 @@ AbResult RunAb(const std::string& name, const Table& clean,
   return r;
 }
 
+// --- Build scaling ---------------------------------------------------------
+
+constexpr int kBuildRuns = 5;
+
+// Columns a first miss builds whole: at most num_rows/64 distinct values.
+std::vector<size_t> BoundedColumns(const Table& table) {
+  std::vector<size_t> cols;
+  for (size_t c = 0; c < table.num_cols(); ++c) {
+    if (table.DistinctCount(c) <= table.num_rows() / 64) cols.push_back(c);
+  }
+  return cols;
+}
+
+PostingIndexOptions SessionPostingOptions() {
+  PostingIndexOptions opts;
+  opts.compressed = SessionOptions{}.compressed_rowsets;
+  return opts;
+}
+
+// Median wall time of kBuildRuns BuildColumn passes over `cols`, each into
+// a fresh index.
+double MedianBuildMs(const Table& table, const std::vector<size_t>& cols) {
+  std::vector<double> ms;
+  for (int run = 0; run < kBuildRuns; ++run) {
+    PostingIndex index(&table, SessionPostingOptions());
+    double t0 = NowMs();
+    for (size_t c : cols) index.BuildColumn(c);
+    ms.push_back(NowMs() - t0);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+uint64_t Fnv(uint64_t h, uint64_t x) { return (h ^ x) * 1099511628211ull; }
+
+// Folds one (column, value) posting into `h`: its rows, its
+// representation and its measured bytes.
+uint64_t MixPosting(uint64_t h, size_t col, ValueId v,
+                    const HybridRowSet& rows) {
+  h = Fnv(Fnv(h, col), v);
+  rows.ForEach([&](size_t r) { h = Fnv(h, r); });
+  return Fnv(Fnv(h, rows.compressed()), rows.HeapBytes());
+}
+
+struct BuildDigests {
+  uint64_t built = 1469598103934665603ull;
+  uint64_t scanned = 1469598103934665603ull;
+};
+
+// Digests BuildColumn's postings of `cols` and, value by value, what a
+// single-value scan plus Compact stores for the same predicate.
+BuildDigests DigestBuildAgainstScans(const Table& table,
+                                     const std::vector<size_t>& cols) {
+  PostingIndexOptions opts = SessionPostingOptions();
+  PostingIndex index(&table, opts);
+  for (size_t c : cols) index.BuildColumn(c);
+  BuildDigests d;
+  for (size_t c : cols) {
+    std::set<ValueId> values(table.column(c).begin(), table.column(c).end());
+    for (ValueId v : values) {
+      HybridRowSet want(table.ScanEquals(c, v));
+      if (opts.compressed) want.Compact(want.Count());
+      d.built = MixPosting(d.built, c, v, index.Postings(c, v));
+      d.scanned = MixPosting(d.scanned, c, v, want);
+    }
+  }
+  return d;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -488,6 +563,27 @@ int main(int argc, char** argv) {
               wall_speedup);
   std::printf("identical session metrics across modes: %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
+
+  // --- Build scaling --------------------------------------------------------
+  auto small_ds = MakeSynth(rows / 10, 29);
+  if (!small_ds.ok()) {
+    std::fprintf(stderr, "dataset generation failed\n");
+    return 1;
+  }
+  const Table& small = small_ds->clean;
+  std::vector<size_t> bounded = BoundedColumns(clean);
+  double build_small_ms = MedianBuildMs(small, bounded);
+  double build_big_ms = MedianBuildMs(clean, bounded);
+  double build_ratio = build_big_ms / std::max(build_small_ms, 1e-6);
+  BuildDigests digests = DigestBuildAgainstScans(clean, bounded);
+  bool build_identical = digests.built == digests.scanned;
+  std::printf("\nbuild scaling (%zu bounded columns, median of %d):\n",
+              bounded.size(), kBuildRuns);
+  std::printf("  %zu rows %.2f ms, %zu rows %.2f ms: %.2fx\n",
+              small.num_rows(), build_small_ms, clean.num_rows(),
+              build_big_ms, build_ratio);
+  std::printf("  built postings match per-value scans: %s\n",
+              build_identical ? "yes" : "NO — BUILD DIVERGED");
 
   // --- Compressed row-set sweep --------------------------------------------
   KernelPair sparse_kernel, mid_kernel, dense_kernel;
@@ -635,6 +731,18 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"identical_metrics\": %s,\n",
                  identical ? "true" : "false");
+    std::fprintf(f,
+                 "  \"build_scaling\": {\"columns\": %zu, \"runs\": %d, "
+                 "\"small_rows\": %zu, \"big_rows\": %zu, "
+                 "\"small_ms\": %.3f, \"big_ms\": %.3f, \"ratio\": %.3f, "
+                 "\"built_digest\": \"%016llx\", "
+                 "\"scanned_digest\": \"%016llx\", "
+                 "\"digest_identical\": %s},\n",
+                 bounded.size(), kBuildRuns, small.num_rows(),
+                 clean.num_rows(), build_small_ms, build_big_ms, build_ratio,
+                 static_cast<unsigned long long>(digests.built),
+                 static_cast<unsigned long long>(digests.scanned),
+                 build_identical ? "true" : "false");
     if (compressed_sweep) {
       std::fprintf(
           f,
@@ -691,5 +799,6 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("wrote BENCH_micro_postings.json\n");
   }
-  return (identical && crc_match && ab_metrics_match) ? 0 : 1;
+  return (identical && crc_match && ab_metrics_match && build_identical) ? 0
+                                                                        : 1;
 }

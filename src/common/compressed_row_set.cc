@@ -52,6 +52,12 @@ size_t ArrayBytes(size_t card) { return 2 * card; }
 size_t RunBytes(size_t runs) { return 4 * runs; }
 constexpr size_t kBitmapBytes = 8192;
 
+// True iff run encoding is the smallest of the three for a container of
+// `card` rows in `runs` runs.
+bool RunsWin(size_t card, size_t runs) {
+  return RunBytes(runs) < std::min(ArrayBytes(card), kBitmapBytes);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -133,9 +139,8 @@ CompressedRowSet::Container CompressedRowSet::BuildFromWords(
   c.key = key;
   c.card = static_cast<uint32_t>(PopcountWords(words, nwords));
   if (c.card == 0) return c;
-  size_t runs = try_runs ? RunsOfWords(words, nwords) : SIZE_MAX;
-  size_t best_plain = std::min(ArrayBytes(c.card), kBitmapBytes);
-  if (try_runs && RunBytes(runs) < best_plain) {
+  size_t runs = try_runs ? RunsOfWords(words, nwords) : 0;
+  if (try_runs && RunsWin(c.card, runs)) {
     c.type = Type::kRun;
     c.vals.reserve(2 * runs);
     // Walk set-bit intervals word by word.
@@ -406,6 +411,53 @@ CompressedRowSet CompressedRowSet::FromDense(const RowSet& dense) {
   return out;
 }
 
+CompressedRowSet CompressedRowSet::FromSorted(size_t universe_size,
+                                              std::span<const uint32_t> rows) {
+  CompressedRowSet out(universe_size);
+  // One container per chunk of rows sharing a high half, encoded by the
+  // same rule BuildFromWords(try_runs=true) applies to its words.
+  for (size_t begin = 0; begin < rows.size();) {
+    FALCON_DCHECK(rows[begin] < universe_size);
+    uint32_t key = rows[begin] >> 16;
+    size_t end = begin + 1;
+    size_t runs = 1;
+    for (; end < rows.size() && (rows[end] >> 16) == key; ++end) {
+      FALCON_DCHECK(rows[end] > rows[end - 1]);
+      runs += rows[end] != rows[end - 1] + 1;
+    }
+    Container c;
+    c.key = static_cast<uint16_t>(key);
+    c.card = static_cast<uint32_t>(end - begin);
+    if (RunsWin(c.card, runs)) {
+      c.type = Type::kRun;
+      c.vals.reserve(2 * runs);
+      size_t run_begin = begin;
+      for (size_t i = begin + 1; i <= end; ++i) {
+        if (i < end && rows[i] == rows[i - 1] + 1) continue;
+        c.vals.push_back(static_cast<uint16_t>(rows[run_begin] & 0xFFFF));
+        c.vals.push_back(static_cast<uint16_t>(rows[i - 1] - rows[run_begin]));
+        run_begin = i;
+      }
+    } else if (c.card <= kArrayMaxCard) {
+      c.type = Type::kArray;
+      c.vals.reserve(c.card);
+      for (size_t i = begin; i < end; ++i) {
+        c.vals.push_back(static_cast<uint16_t>(rows[i] & 0xFFFF));
+      }
+    } else {
+      c.type = Type::kBitmap;
+      c.bits.assign(kWordsPerChunk, 0);
+      for (size_t i = begin; i < end; ++i) {
+        uint32_t low = rows[i] & 0xFFFF;
+        c.bits[low >> 6] |= uint64_t{1} << (low & 63);
+      }
+    }
+    out.containers_.push_back(std::move(c));
+    begin = end;
+  }
+  return out;
+}
+
 RowSet CompressedRowSet::ToDense() const {
   RowSet out(universe_size_);
   std::vector<uint64_t> buf(kWordsPerChunk);
@@ -441,8 +493,7 @@ void CompressedRowSet::RunOptimize() {
     if (c.type == Type::kRun) continue;
     Decode(c, buf.data());
     size_t nwords = ChunkWords(c.key);
-    size_t runs = RunsOfWords(buf.data(), nwords);
-    if (RunBytes(runs) < std::min(ArrayBytes(c.card), kBitmapBytes)) {
+    if (RunsWin(c.card, RunsOfWords(buf.data(), nwords))) {
       c = BuildFromWords(c.key, buf.data(), nwords, /*try_runs=*/true);
     }
   }

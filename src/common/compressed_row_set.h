@@ -34,6 +34,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -73,6 +74,13 @@ class CompressedRowSet {
   /// Compresses a dense bitmap, choosing the best container per chunk
   /// (including runs).
   static CompressedRowSet FromDense(const RowSet& dense);
+
+  /// Builds the set of `rows` (strictly ascending, each below
+  /// `universe_size`) with no dense intermediate, in O(|rows| + containers).
+  /// Identical — containers, encodings and HeapBytes — to FromDense of the
+  /// same rows followed by RunOptimize().
+  static CompressedRowSet FromSorted(size_t universe_size,
+                                     std::span<const uint32_t> rows);
 
   /// Decompresses into a dense bitmap.
   RowSet ToDense() const;

@@ -31,6 +31,16 @@ class HybridRowSet {
 
   HybridRowSet() = default;
   /* implicit */ HybridRowSet(RowSet dense) : dense_(std::move(dense)) {}
+  explicit HybridRowSet(CompressedRowSet comp)
+      : compressed_(true), comp_(std::move(comp)) {}
+
+  /// True iff Compact(count) turns a dense set over `universe` rows
+  /// compressed — lets a builder emit the compacted form directly.
+  static bool CompressesDense(size_t count, size_t universe) {
+    return universe >= kMinCompressUniverse &&
+           static_cast<double>(count) / static_cast<double>(universe) <
+               kCompressDensity;
+  }
 
   bool compressed() const { return compressed_; }
   const CompressedRowSet& comp() const {
@@ -78,7 +88,7 @@ class HybridRowSet {
         comp_ = CompressedRowSet();
         compressed_ = false;
       }
-    } else if (!compressed_ && density < kCompressDensity) {
+    } else if (!compressed_ && CompressesDense(count, n)) {
       comp_ = CompressedRowSet::FromDense(dense_);
       comp_.RunOptimize();
       dense_ = RowSet();

@@ -1,7 +1,19 @@
-// PostingIndex: lazily built, cached posting bitmaps for (column = value)
-// predicates. Lattice construction scans each bound predicate once per
-// session; across a cleaning run the same constants recur (group values,
-// frequent categories), so caching them amortizes the scans.
+// PostingIndex: cached posting bitmaps for (column = value) predicates,
+// the rows every lattice build starts from (Section 5.1.2). Across a
+// cleaning session the same columns and constants recur, so a posting is
+// computed once and served from the cache afterwards.
+//
+// Misses. The first miss on a column counts its values in one pass. A
+// bounded-domain column — at most num_rows/64 distinct values — is then
+// built whole by one counting sort (BuildColumn), so every later probe of
+// it hits: a session probes nearly every value of each lattice column, and
+// one pass serves them all where one scan per value would not. The 1/64
+// cap keeps a whole build's bookkeeping near one byte per row. A key-like
+// column (more distinct values) is never built on a miss; each miss scans
+// the column for the one value asked for. After a whole build, a miss on
+// a value the column did not hold, or on one Trim evicted, is such a
+// single-value scan too. InvalidateColumn/InvalidateAll forget what a
+// column was, and its next miss decides again.
 //
 // Two maintenance modes:
 //  - delta (default): callers that know exactly which rows changed and the
@@ -9,7 +21,7 @@
 //    stays exact across an entire cleaning session — the bitmaps are
 //    updated in place instead of being rebuilt by full-table rescans.
 //  - invalidate (legacy): InvalidateColumn drops a column's entries after
-//    any write to it; the next Postings call rescans.
+//    any write to it; the next Postings call rebuilds or rescans.
 //
 // Memory is bounded by an optional byte budget with LRU eviction. Eviction
 // is deferred to explicit Trim() calls so that references returned by
@@ -18,6 +30,7 @@
 #ifndef FALCON_RELATIONAL_POSTING_INDEX_H_
 #define FALCON_RELATIONAL_POSTING_INDEX_H_
 
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -84,31 +97,35 @@ class PostingIndex {
  public:
   /// `table` must outlive the index.
   explicit PostingIndex(const Table* table, PostingIndexOptions options = {})
-      : table_(table), options_(options), cache_(table->num_cols()) {}
+      : table_(table),
+        options_(options),
+        cache_(table->num_cols()),
+        kinds_(table->num_cols(), ColumnKind::kUnknown) {}
 
   PostingIndex(const PostingIndex&) = delete;
   PostingIndex& operator=(const PostingIndex&) = delete;
 
   bool delta_maintenance() const { return options_.delta_maintenance; }
 
-  /// Rows where `col` equals `v`. First call scans the column; later calls
-  /// are cache hits until the entry is invalidated or evicted. The returned
-  /// reference stays valid until InvalidateColumn/InvalidateAll/Trim.
+  /// Rows where `col` equals `v`. A hit serves the cached posting. A miss
+  /// builds the whole column when this is the first miss on a
+  /// bounded-domain column, and otherwise scans for `v` alone (see the
+  /// file comment); either way it counts one miss and charges its time to
+  /// scan_ms. The returned reference stays valid until
+  /// InvalidateColumn/InvalidateAll/Trim.
   const HybridRowSet& Postings(size_t col, ValueId v);
 
-  /// Full deterministic build of `col`: caches a posting for every distinct
-  /// value present (including NULL), sharded across `pool` (the global pool
-  /// when null). Bit-identical to the serial build at any thread count —
-  /// shards own disjoint 64-row-aligned ranges, so each bitmap word has
-  /// exactly one writer, and entries are inserted in ascending ValueId
-  /// order regardless of which shard discovered them. Existing entries of
-  /// the column are dropped first.
-  /// Intended for bounded-domain (lattice-relevant) columns — a unique
-  /// column would materialize one bitmap per row.
+  /// Caches a posting for every value `col` holds (NULL included), whatever
+  /// its domain size, by counting sort: a ValueId-indexed histogram pass, a
+  /// pass bucketing row ids by value (each bucket ascending), both sharded
+  /// on `pool` (the global pool when null), then each value's posting
+  /// emitted from its bucket in the representation a miss would store.
+  /// Contents, representation, insert order and byte accounting equal the
+  /// per-value misses' (scan + Compact) at any thread count. Existing
+  /// entries of the column are dropped first. Transient memory is
+  /// O(rows + the column's ValueId range); no bitmap is allocated beyond
+  /// the stored postings.
   void BuildColumn(size_t col, ThreadPool* pool = nullptr);
-
-  /// BuildColumn over every column of the table.
-  void BuildAll(ThreadPool* pool = nullptr);
 
   /// Streaming-append maintenance: the table grew from `old_rows` to its
   /// current num_rows() by appending rows (no existing cell changed).
@@ -189,6 +206,8 @@ class PostingIndex {
     std::list<Key>::iterator lru_it;
   };
   using ColumnCache = std::unordered_map<ValueId, Entry>;
+  /// What the last miss (or BuildColumn) found a column to be.
+  enum class ColumnKind : uint8_t { kUnknown, kBuilt, kKeyLike };
 
   // Adds elapsed wall time to *sink on destruction.
   class Timer {
@@ -222,12 +241,17 @@ class PostingIndex {
   static size_t EntryBytes(const HybridRowSet& rows) {
     return rows.HeapBytes() + kEntryOverheadBytes;
   }
-  Entry& Insert(size_t col, ValueId v, RowSet rows);
+  Entry& Insert(size_t col, ValueId v, HybridRowSet rows);
+  /// The counting-sort build behind BuildColumn. When `only_bounded`, it
+  /// stops after the histogram pass, caching nothing, if `col` holds more
+  /// than num_rows/64 distinct values. Returns whether it built.
+  bool CountingSortBuild(size_t col, ThreadPool& pool, bool only_bounded);
   void EraseEntry(size_t col, ColumnCache::iterator it);
 
   const Table* table_;
   PostingIndexOptions options_;
   std::vector<ColumnCache> cache_;
+  std::vector<ColumnKind> kinds_;
   std::list<Key> lru_;  // Front = most recently used.
   size_t bytes_ = 0;
   PostingIndexStats stats_;

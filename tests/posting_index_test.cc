@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/lattice.h"
 #include "datagen/datasets.h"
 
@@ -343,6 +345,218 @@ TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
     EXPECT_LE(index.cached_bytes(), opts.byte_budget);
     EXPECT_GT(index.stats().evictions, 0u);
     expect_exact("Trim");
+  }
+}
+
+// A table of `rows` rows whose columns cover every storage case a build
+// can emit once rows >= HybridRowSet::kMinCompressUniverse:
+//  0: skewed — one value on ~half the rows (dense), many sparse values
+//     (array containers) and NULL;
+//  1: blocks of 1000 equal rows (run containers) with NULL pockets;
+//  2: one value on every other row of the first chunk (a bitmap container
+//     in a sparse posting), the rest uniform over 20 values;
+//  3: a unique key (key-like; a whole build of it would hold one posting
+//     per row, so only misses touch it).
+Table MakeBuildTable(size_t rows, uint64_t seed) {
+  Table t("build", Schema({"skew", "blocks", "chunky", "key"}));
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<ValueId> ids(4);
+    uint64_t pick = rng.NextUint(100);
+    ids[0] = pick < 50   ? t.Intern("hot")
+             : pick < 55 ? kNullValueId
+                         : t.Intern("s" + std::to_string(rng.NextUint(40)));
+    ids[1] = (r / 1000) % 7 == 6
+                 ? kNullValueId
+                 : t.Intern("b" + std::to_string(r / 1000));
+    ids[2] = r < 8400 && r % 2 == 0
+                 ? t.Intern("even")
+                 : t.Intern("u" + std::to_string(rng.NextUint(20)));
+    ids[3] = t.Intern("k" + std::to_string(r));
+    t.AppendRowIds(ids);
+  }
+  return t;
+}
+
+std::vector<ValueId> DistinctValues(const Table& t, size_t col) {
+  std::set<ValueId> values(t.column(col).begin(), t.column(col).end());
+  return {values.begin(), values.end()};
+}
+
+// BuildColumn is a counting sort; the per-value path is a scan plus
+// Compact. Both must store the same thing — contents, representation,
+// container encodings and measured bytes — at every thread count.
+TEST(PostingIndexTest, BuildColumnEqualsPerValueScansAtEveryThreadCount) {
+  Table table = MakeBuildTable(150000, 61);  // Two shards at 4 threads.
+  for (bool compressed : {false, true}) {
+    PostingIndexOptions opts;
+    opts.compressed = compressed;
+    for (size_t workers : {size_t{0}, size_t{3}}) {  // 1 and 4 threads.
+      SCOPED_TRACE(std::string(compressed ? "compressed" : "dense") +
+                   " workers=" + std::to_string(workers));
+      ThreadPool pool(workers);
+      PostingIndex index(&table, opts);
+      size_t want_bytes = 0, want_entries = 0;
+      size_t compressed_seen = 0;
+      for (size_t c : {size_t{0}, size_t{1}, size_t{2}}) {
+        index.BuildColumn(c, &pool);
+        for (ValueId v : DistinctValues(table, c)) {
+          HybridRowSet want(table.ScanEquals(c, v));
+          if (compressed) want.Compact(want.Count());
+          const HybridRowSet& got = index.Postings(c, v);
+          ASSERT_EQ(got.ToDense(), want.ToDense()) << c << "/" << v;
+          ASSERT_EQ(got.compressed(), want.compressed()) << c << "/" << v;
+          ASSERT_EQ(got.HeapBytes(), want.HeapBytes()) << c << "/" << v;
+          if (want.compressed()) {
+            ++compressed_seen;
+            auto g = got.comp().container_stats();
+            auto w = want.comp().container_stats();
+            EXPECT_EQ(g.arrays, w.arrays) << c << "/" << v;
+            EXPECT_EQ(g.bitmaps, w.bitmaps) << c << "/" << v;
+            EXPECT_EQ(g.runs, w.runs) << c << "/" << v;
+          }
+          want_bytes += want.HeapBytes() + PostingIndex::kEntryOverheadBytes;
+          ++want_entries;
+        }
+      }
+      EXPECT_EQ(index.cached_entries(), want_entries);
+      EXPECT_EQ(index.cached_bytes(), want_bytes);
+      EXPECT_EQ(index.misses(), 0u);
+      if (compressed) {
+        // Every container kind occurs, so the comparison covers them all.
+        PostingStorageStats st = index.StorageStats();
+        EXPECT_GT(compressed_seen, 0u);
+        EXPECT_GT(st.array_containers, 0u);
+        EXPECT_GT(st.bitmap_containers, 0u);
+        EXPECT_GT(st.run_containers, 0u);
+      }
+    }
+  }
+}
+
+TEST(PostingIndexTest, OneMissMakesEveryValueOfABoundedColumnResident) {
+  Table table = MakeBuildTable(20000, 7);
+  PostingIndexOptions opts;
+  opts.compressed = true;
+  PostingIndex index(&table, opts);
+  std::vector<ValueId> values = DistinctValues(table, 1);
+  ASSERT_LE(values.size(), table.num_rows() / 64);
+  index.Postings(1, values.back());
+  EXPECT_EQ(index.misses(), 1u);
+  EXPECT_EQ(index.cached_entries(), values.size());
+  for (ValueId v : values) {
+    EXPECT_EQ(index.Postings(1, v).ToDense(), table.ScanEquals(1, v));
+  }
+  EXPECT_EQ(index.misses(), 1u);
+  EXPECT_EQ(index.hits(), values.size());
+}
+
+TEST(PostingIndexTest, KeyLikeColumnHoldsOnlyProbedEntries) {
+  Table table = MakeBuildTable(20000, 8);
+  PostingIndex index(&table);
+  for (size_t r : {size_t{3}, size_t{17}, size_t{19999}}) {
+    ValueId v = table.cell(r, 3);
+    EXPECT_EQ(index.Postings(3, v).ToDense(), table.ScanEquals(3, v));
+  }
+  EXPECT_EQ(index.misses(), 3u);
+  EXPECT_EQ(index.cached_entries(), 3u);
+}
+
+// The bounded/key-like line sits at num_rows/64 distinct values.
+TEST(PostingIndexTest, WholeColumnBuildStopsAtOneValuePer64Rows) {
+  Table table("edge", Schema({"at", "over"}));
+  for (size_t r = 0; r < 640; ++r) {
+    table.AppendRowIds({table.Intern("a" + std::to_string(r % 10)),
+                        table.Intern("o" + std::to_string(r % 11))});
+  }
+  PostingIndex index(&table);
+  index.Postings(0, table.Lookup("a0"));
+  EXPECT_EQ(index.cached_entries(), 10u);  // 10 values ≤ 640/64: built.
+  index.Postings(1, table.Lookup("o0"));
+  EXPECT_EQ(index.cached_entries(), 11u);  // 11 values: key-like.
+}
+
+TEST(PostingIndexTest, AbsentValueReturnsEmptySet) {
+  Table table = MakeBuildTable(20000, 9);
+  ValueId absent = table.Intern("never-stored");
+  PostingIndex index(&table);
+  for (size_t c : {size_t{1}, size_t{3}}) {  // Bounded, then key-like.
+    // First miss (builds column 1) and a miss on a built column.
+    for (int probe = 0; probe < 2; ++probe) {
+      const HybridRowSet& rows = index.Postings(c, absent);
+      EXPECT_EQ(rows.Count(), 0u) << c;
+      EXPECT_EQ(rows.universe_size(), table.num_rows()) << c;
+    }
+    ValueId other = table.Intern("also-never-" + std::to_string(c));
+    EXPECT_EQ(index.Postings(c, other).Count(), 0u) << c;
+  }
+}
+
+// Whole-column builds stay exact through every maintenance path: deltas
+// (including a value the column never held), appends, Trim eviction and
+// the re-miss after it, and invalidation with the rebuild that follows.
+TEST(PostingIndexTest, WholeColumnPostingsStayExactUnderMaintenance) {
+  for (bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "compressed" : "dense");
+    Table table = MakeBuildTable(20000, 10);
+    ValueId fresh = table.Intern("fresh");
+    PostingIndexOptions opts;
+    opts.compressed = compressed;
+    opts.byte_budget = 32 << 10;
+    PostingIndex index(&table, opts);
+    auto expect_exact = [&](const char* after) {
+      for (size_t c : {size_t{0}, size_t{1}, size_t{2}}) {
+        std::vector<ValueId> values = DistinctValues(table, c);
+        values.push_back(fresh);
+        for (ValueId v : values) {
+          ASSERT_EQ(index.Postings(c, v).ToDense(), table.ScanEquals(c, v))
+              << after << " col " << c << " value " << v;
+        }
+      }
+    };
+    expect_exact("first misses");
+    size_t built_entries = index.cached_entries();
+
+    Rng rng(11);
+    for (int step = 0; step < 20; ++step) {
+      size_t col = rng.NextUint(3);
+      std::vector<ValueId> values = DistinctValues(table, col);
+      ValueId new_value = step % 5 == 0
+                              ? fresh
+                              : values[rng.NextUint(values.size())];
+      RowSet rows(table.num_rows());
+      for (int i = 0; i < 300; ++i) rows.Set(rng.NextUint(table.num_rows()));
+      index.ApplyDelta(
+          col, rows, [&](size_t r) { return table.cell(r, col); }, new_value);
+      rows.ForEach([&](size_t r) { table.set_cell(r, col, new_value); });
+      size_t row = rng.NextUint(table.num_rows());
+      ValueId old_value = table.cell(row, col);
+      index.ApplyCellDelta(col, row, old_value, values.front());
+      table.set_cell(row, col, values.front());
+    }
+    expect_exact("ApplyDelta");
+
+    size_t old_rows = table.num_rows();
+    for (size_t r = 0; r < 3000; ++r) {
+      table.AppendRowIds({r % 3 == 0 ? fresh : table.Intern("hot"),
+                          table.Intern("b" + std::to_string(r % 4)),
+                          table.Intern("appended"), table.Intern("k+")});
+    }
+    index.ApplyAppend(old_rows);
+    expect_exact("ApplyAppend");
+
+    size_t misses = index.misses();
+    index.Trim();
+    ASSERT_GT(index.stats().evictions, 0u);
+    expect_exact("Trim");  // Re-misses are single-value scans...
+    EXPECT_LT(index.misses() - misses, built_entries);  // ...not rebuilds.
+
+    index.InvalidateColumn(1);
+    size_t before = index.cached_entries();
+    index.Postings(1, table.cell(0, 1));  // Rebuilds the whole column.
+    EXPECT_EQ(index.cached_entries(),
+              before + DistinctValues(table, 1).size());
+    expect_exact("InvalidateColumn");
   }
 }
 
