@@ -1,15 +1,13 @@
 // Lattice micro benchmark: lazy materialization vs. the legacy
-// eager build, on the lattice hot paths. Three sections:
+// eager build, on the lattice hot paths. Four sections:
 //
 //  1. Build cost: Lattice::Build with lazy materialization (bottom node +
 //     predicate bitmaps only) vs. the eager chain (every node ANDed up
 //     front), across lattice widths. The headline `build_speedup` is the
 //     widest configuration.
-//  2. Count access: serial per-node ancestor-chain counting vs. the
-//     batched EnsureCounts path (level-parallel materialization + fused
-//     AndCount shards), plus the laziness ratio after counting the full
-//     frontier — even a complete count materializes only the lowest-set-bit
-//     parents, so nodes_materialized stays below nodes_total.
+//  2. Count access: the first Count on a fresh lattice, which counts all
+//     2^k nodes in one lattice_counts kernel pass and builds no node
+//     bitmap; every count must equal the eager lattice's popcount.
 //  3. Full cleaning sessions lazy vs. eager: the determinism gate. All
 //     interaction metrics must be bit-identical; the lazy run must report
 //     nodes_materialized < nodes_total.
@@ -121,12 +119,12 @@ void PrintSession(FILE* f, const SessionResult& r, bool trailing_comma) {
                "    \"%s\": {\"wall_ms\": %.2f, \"lattice_build_ms\": %.3f, "
                "\"lattice_maintain_ms\": %.3f, \"lattices_built\": %zu, "
                "\"nodes_materialized\": %zu, \"nodes_total\": %zu, "
-               "\"fused_count_calls\": %zu, \"user_updates\": %zu, "
+               "\"user_updates\": %zu, "
                "\"user_answers\": %zu, \"cells_repaired\": %zu, "
                "\"queries_applied\": %zu}%s\n",
                r.name.c_str(), r.wall_ms, m.lattice_build_ms,
                m.lattice_maintain_ms, m.lattices_built, m.nodes_materialized,
-               m.nodes_total, m.fused_count_calls, m.user_updates,
+               m.nodes_total, m.user_updates,
                m.user_answers, m.cells_repaired, m.queries_applied,
                trailing_comma ? "," : "");
 }
@@ -195,66 +193,39 @@ int main(int argc, char** argv) {
   }
   double build_speedup = builds.back().speedup;
 
-  // --- Count access: serial chain vs batched EnsureCounts -------------------
-  // Both paths materialize the same ~n/2 ancestor bitmaps (megabytes of
-  // fresh allocations at this scale), so whichever runs second inherits a
-  // warm allocator while whichever runs first pays every page fault. One
-  // untimed warm-up faults the arenas in, then each path is timed on a
-  // fresh lattice, alternating, keeping the best of three — standard
-  // microbenchmark hygiene so the gate compares the kernels, not the
-  // allocator.
+  // --- Count access: one kernel pass over the whole lattice --------------
+  // Best of three fresh lattices (the first also faults the count array's
+  // pages in); the eager lattice's popcounts are the reference.
   Fixture cf = MakeFixture(clean, dirty, e, 10);
-  auto serial_lat = Lattice::Build(cf.dirty, cf.repair, cf.cols);
-  auto batch_lat = Lattice::Build(cf.dirty, cf.repair, cf.cols);
-  if (!serial_lat.ok() || !batch_lat.ok()) {
+  LatticeOptions eager_counts;
+  eager_counts.lazy = false;
+  auto ref_lat = Lattice::Build(cf.dirty, cf.repair, cf.cols, eager_counts);
+  if (!ref_lat.ok()) {
     std::fprintf(stderr, "lattice build failed\n");
     return 1;
   }
-  std::vector<NodeId> all_nodes;
-  for (NodeId m = 0; m < serial_lat->num_nodes(); ++m) {
-    all_nodes.push_back(m);
-  }
-  {
-    auto warm = Lattice::Build(cf.dirty, cf.repair, cf.cols);
-    if (warm.ok()) warm->EnsureCounts(all_nodes);
-  }
-  double serial_count_ms = 1e30;
-  double batch_count_ms = 1e30;
-  for (int rep = 0; rep < 3; ++rep) {
-    // Each lattice is scoped so its ~n/2 materialized bitmaps are freed
-    // before the other path runs — a live 32MB footprint from the
-    // previous measurement would skew whichever path goes second.
-    {
-      auto s = Lattice::Build(cf.dirty, cf.repair, cf.cols);
-      if (s.ok()) {
-        double s0 = NowMs();
-        for (NodeId m : all_nodes) s->Count(m);
-        serial_count_ms = std::min(serial_count_ms, NowMs() - s0);
-      }
-    }
-    {
-      auto b = Lattice::Build(cf.dirty, cf.repair, cf.cols);
-      if (b.ok()) {
-        double b0 = NowMs();
-        b->EnsureCounts(all_nodes);
-        batch_count_ms = std::min(batch_count_ms, NowMs() - b0);
-      }
-    }
-  }
-  for (NodeId m : all_nodes) serial_lat->Count(m);
-  batch_lat->EnsureCounts(all_nodes);
+  size_t count_total = ref_lat->num_nodes();
+  double kernel_count_ms = 1e30;
   bool counts_match = true;
-  for (NodeId m : all_nodes) {
-    counts_match = counts_match && serial_lat->Count(m) == batch_lat->Count(m);
+  size_t count_materialized = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto lat = Lattice::Build(cf.dirty, cf.repair, cf.cols);
+    if (!lat.ok()) {
+      std::fprintf(stderr, "lattice build failed\n");
+      return 1;
+    }
+    double t0 = NowMs();
+    lat->Count(lat->top());
+    kernel_count_ms = std::min(kernel_count_ms, NowMs() - t0);
+    for (NodeId m = 0; m < count_total; ++m) {
+      counts_match = counts_match && lat->Count(m) == ref_lat->Count(m);
+    }
+    count_materialized = lat->lazy_stats().nodes_materialized;
   }
-  size_t count_materialized = batch_lat->lazy_stats().nodes_materialized;
-  size_t count_total = batch_lat->num_nodes();
-  std::printf("\nfull-frontier counts (%zu nodes): serial %0.3f ms  batched "
-              "%0.3f ms  (%.1fx); materialized %zu/%zu nodes; counts %s\n",
-              all_nodes.size(), serial_count_ms, batch_count_ms,
-              serial_count_ms / std::max(batch_count_ms, 1e-6),
-              count_materialized, count_total,
-              counts_match ? "match" : "MISMATCH");
+  std::printf("\nfull-lattice counts (%zu nodes): kernel %0.3f ms; "
+              "materialized %zu/%zu nodes; counts %s\n",
+              count_total, kernel_count_ms, count_materialized, count_total,
+              counts_match ? "match eager" : "MISMATCH");
 
   // --- Session comparison (determinism gate) --------------------------------
   SessionResult lazy_run = RunSession("lazy", clean, dirty, /*lazy=*/true);
@@ -278,13 +249,12 @@ int main(int argc, char** argv) {
                                  std::max(lazy_run.metrics.lattice_build_ms,
                                           1e-6);
 
-  std::printf("\n%-7s %9s %11s %14s %12s\n", "mode", "wall(ms)",
-              "build(ms)", "materialized", "fused");
+  std::printf("\n%-7s %9s %11s %14s\n", "mode", "wall(ms)", "build(ms)",
+              "materialized");
   for (const SessionResult* r : {&lazy_run, &eager_run}) {
-    std::printf("%-7s %9.1f %11.3f %7zu/%-7zu %10zu\n", r->name.c_str(),
+    std::printf("%-7s %9.1f %11.3f %7zu/%-7zu\n", r->name.c_str(),
                 r->wall_ms, r->metrics.lattice_build_ms,
-                r->metrics.nodes_materialized, r->metrics.nodes_total,
-                r->metrics.fused_count_calls);
+                r->metrics.nodes_materialized, r->metrics.nodes_total);
   }
   std::printf("\nbuild speedup (widest micro config): %.1fx\n", build_speedup);
   std::printf("session lattice_build_ms speedup:    %.2fx\n",
@@ -336,12 +306,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
-                 "  \"counts\": {\"frontier_nodes\": %zu, "
-                 "\"serial_ms\": %.3f, \"batch_ms\": %.3f, "
-                 "\"nodes_materialized\": %zu, \"nodes_total\": %zu, "
+                 "  \"counts\": {\"nodes_total\": %zu, "
+                 "\"kernel_ms\": %.3f, \"nodes_materialized\": %zu, "
                  "\"counts_match\": %s},\n",
-                 all_nodes.size(), serial_count_ms, batch_count_ms,
-                 count_materialized, count_total,
+                 count_total, kernel_count_ms, count_materialized,
                  counts_match ? "true" : "false");
     std::fprintf(f, "  \"sessions\": {\n");
     PrintSession(f, lazy_run, true);

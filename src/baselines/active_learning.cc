@@ -106,9 +106,7 @@ void ActiveLearningSearch::Run(LatticeSearchContext& ctx) {
   }
 
   while (ctx.BudgetLeft()) {
-    // Full-lattice candidate scan; batch-count the open frontier first so
-    // lazy lattices don't materialize one chain per probed node.
-    lattice.EnsureCounts(lattice.UnknownNodes());
+    // Full-lattice candidate scan; the counts are lookups.
     NodeId best = 0;
     double best_p = -1.0;
     for (NodeId m = 0; m < lattice.num_nodes(); ++m) {

@@ -8,21 +8,6 @@
 namespace falcon {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-// h * kFnvPrime^n (mod 2^64) — folds a run of n zero words into the FNV
-// stream in O(log n).
-uint64_t MulPrimePow(uint64_t h, size_t n) {
-  uint64_t base = kFnvPrime;
-  while (n != 0) {
-    if (n & 1) h *= base;
-    base *= base;
-    n >>= 1;
-  }
-  return h;
-}
-
 // Popcount / fused |a ∩ b| over word ranges — routed through the
 // runtime-dispatched SIMD tier (AVX-512 VPOPCNTDQ / AVX2 PSHUFB popcount /
 // scalar fallback). These two kernels dominate bitmap-container counting.
@@ -1184,25 +1169,6 @@ bool CompressedRowSet::operator==(const RowSet& dense) const {
     }
   }
   return ci == containers_.size();
-}
-
-uint64_t CompressedRowSet::Hash() const {
-  uint64_t h = kFnvOffset;
-  size_t cursor = 0;  // Next logical word to fold in.
-  std::vector<uint64_t> buf(kWordsPerChunk);
-  size_t total_words = num_words();
-  for (const Container& c : containers_) {
-    size_t base = static_cast<size_t>(c.key) * kWordsPerChunk;
-    h = MulPrimePow(h, base - cursor);  // Zero-word gap.
-    Decode(c, buf.data());
-    size_t nwords = ChunkWords(c.key);
-    for (size_t w = 0; w < nwords; ++w) {
-      h ^= buf[w];
-      h *= kFnvPrime;
-    }
-    cursor = base + nwords;
-  }
-  return MulPrimePow(h, total_words - cursor);
 }
 
 }  // namespace falcon

@@ -19,10 +19,9 @@
 //
 // The kernel surface mirrors dense RowSet (And/AndNot/Or/AndCount/
 // IsSubsetOf/DisjointWith/Complement/ForEach/First/Set/Clear/Test) plus
-// mixed-representation kernels against dense RowSet operands, word-block
-// export for the parallel scan shards, and a canonical Hash() that equals
-// RowSet::Hash() on equal bits — closed-set grouping and the determinism
-// gates never observe the container choice.
+// mixed-representation kernels against dense RowSet operands and word-block
+// export for the parallel scan shards; equality is canonical, so the
+// determinism gates never observe the container choice.
 //
 // Kernels are written for the vectorizer: bitmap∩bitmap runs 4-way-unrolled
 // std::popcount word loops, array∩array intersections gallop (binary-search
@@ -91,7 +90,7 @@ class CompressedRowSet {
 
   /// Grows the universe (streaming append); new rows start cleared.
   /// Containers are sparse and never hold rows ≥ universe_size(), so only
-  /// the logical bound moves — ChunkWords/Complement/Hash derive the tail
+  /// the logical bound moves — ChunkWords/Complement derive the tail
   /// extent from universe_size_ on demand. Shrinking is not supported.
   void Resize(size_t new_universe) {
     FALCON_DCHECK(new_universe >= universe_size_);
@@ -197,12 +196,6 @@ class CompressedRowSet {
   bool operator==(const CompressedRowSet& other) const;
   /// Canonical equality against a dense bitmap.
   bool operator==(const RowSet& dense) const;
-
-  /// Canonical FNV-1a hash over the logical 64-bit word stream — equal to
-  /// RowSet::Hash() of the same bits, independent of container choice.
-  /// Zero-word gaps between containers are folded in O(log gap) via
-  /// multiplier exponentiation.
-  uint64_t Hash() const;
 
   /// Word-block export for the parallel scan shards: writes the logical
   /// words [word_begin, word_begin + word_count) into `out`. Shards that

@@ -53,7 +53,8 @@ class RowSet {
   const uint64_t* word_data() const { return words_.data(); }
   void SetWord(size_t i, uint64_t w) {
     // The tail word covers rows past universe_size(); storing raw bits there
-    // would corrupt Count()/Complement()/Hash() invariants, so trim them.
+    // would corrupt the Count()/Complement()/operator== invariants, so trim
+    // them.
     size_t tail = universe_size_ & 63;
     if (tail != 0 && i + 1 == words_.size()) {
       w &= (uint64_t{1} << tail) - 1;
@@ -147,9 +148,9 @@ class RowSet {
   }
 
   /// Fused AND + popcount kernel: returns |this ∩ other| in one pass over
-  /// the words without materializing an intermediate bitmap. This is the
-  /// hot path for lazy lattice counting — legal whenever the caller needs
-  /// only the cardinality of the intersection, never its bits.
+  /// the words without materializing an intermediate bitmap — legal
+  /// whenever the caller needs only the cardinality of the intersection,
+  /// never its bits.
   size_t AndCount(const RowSet& other) const {
     FALCON_DCHECK(universe_size_ == other.universe_size_);
     return simd::AndCountWords(words_.data(), other.words_.data(),
@@ -159,15 +160,6 @@ class RowSet {
   /// Returns |this ∩ other| without materializing the intersection.
   /// (Alias of AndCount, kept for existing callers.)
   size_t IntersectCount(const RowSet& other) const { return AndCount(other); }
-
-  /// True iff this ⊆ other.
-  bool IsSubsetOf(const RowSet& other) const {
-    FALCON_DCHECK(universe_size_ == other.universe_size_);
-    for (size_t i = 0; i < words_.size(); ++i) {
-      if (words_[i] & ~other.words_[i]) return false;
-    }
-    return true;
-  }
 
   /// True iff this ∩ other = ∅.
   bool DisjointWith(const RowSet& other) const {
@@ -180,16 +172,6 @@ class RowSet {
 
   bool operator==(const RowSet& other) const {
     return universe_size_ == other.universe_size_ && words_ == other.words_;
-  }
-
-  /// FNV-1a style hash of the bitmap contents (used for closed-set grouping).
-  uint64_t Hash() const {
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t w : words_) {
-      h ^= w;
-      h *= 1099511628211ull;
-    }
-    return h;
   }
 
   /// Calls `fn(row)` for every set row in ascending order.

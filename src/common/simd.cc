@@ -14,6 +14,7 @@
 
 #include "common/flags.h"
 #include "common/logging.h"
+#include "common/simd_lattice_counts.h"
 
 namespace falcon {
 namespace simd {
@@ -168,11 +169,28 @@ uint32_t ScalarCrc32cExtend(uint32_t crc, const void* data, size_t n) {
   return state ^ 0xFFFFFFFFu;
 }
 
+// One 64-row word per block: the portable lattice_counts reference.
+struct ScalarBlockOps {
+  static constexpr size_t kWords = 1;
+  using V = uint64_t;
+  static V Load(const uint64_t* p) { return *p; }
+  static V And(V a, V b) { return a & b; }
+  static bool Zero(V v) { return v == 0; }
+  static size_t Pop(V v) { return static_cast<size_t>(std::popcount(v)); }
+};
+
+void ScalarLatticeCounts(const uint64_t* base, const uint64_t* const* preds,
+                         size_t k, const uint32_t* words, size_t n,
+                         size_t* counts) {
+  internal::LatticeCountsImpl<ScalarBlockOps>(base, preds, k, words, n,
+                                              counts);
+}
+
 constexpr Kernels kScalarKernels = {
     ScalarPopcountWords,   ScalarAndCountWords,    ScalarAndWords,
     ScalarAndNotWords,     ScalarOrWords,          ScalarIntersectU16,
     ScalarIntersectU16Count, ScalarArrayBitmapCount, ScalarAnd3CountWords,
-    ScalarCrc32cExtend,
+    ScalarCrc32cExtend,    ScalarLatticeCounts,
 };
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD kernels for the container primitives that
 // dominate the lattice/posting hot path: bitmap word loops (AND / ANDNOT /
-// OR / popcount / fused and-count), sorted-u16 array intersection (the
-// Roaring array-container kernel), and array-against-bitmap membership
-// counting — plus CRC32C, which hashes the whole table on every service
+// OR / popcount / fused and-count), the blocked count of every lattice
+// node, sorted-u16 array intersection (the Roaring array-container
+// kernel), and array-against-bitmap membership counting — plus CRC32C, which hashes the whole table on every service
 // response (SSE4.2 `crc32` in the vector tiers). Three tiers are compiled
 // — portable scalar, AVX2, and AVX-512 (with VPOPCNTDQ) — each in its own
 // translation unit with the matching -m flags, and the best tier the CPU
@@ -75,7 +75,21 @@ struct Kernels {
   /// this). The scalar tier is the byte-table reference; the vector tiers
   /// use the SSE4.2 `crc32` instruction 8 bytes at a time.
   uint32_t (*crc32c_extend)(uint32_t crc, const void* data, size_t n);
+  /// Counts every node of a k-attribute lattice in one blocked pass: adds
+  /// popcount(base ∧ ∧_{i∈m} preds[i]) into counts[m] for all 2^k masks m
+  /// (k ≤ kLatticeCountsMaxAttrs). With `words == nullptr` it covers words
+  /// [0, n) of every bitmap; otherwise the n word indices words[0..n)
+  /// (each at most once). Blocks of 64, 256 or 512 rows walk the chain tree
+  /// depth-first and skip every all-zero subtree; counts must hold 2^k
+  /// entries and is added to, never cleared.
+  void (*lattice_counts)(const uint64_t* base, const uint64_t* const* preds,
+                         size_t k, const uint32_t* words, size_t n,
+                         size_t* counts);
 };
+
+/// Most predicates lattice_counts accepts (its walk keeps one stack frame
+/// per attribute).
+inline constexpr size_t kLatticeCountsMaxAttrs = 20;
 
 /// Best tier the running CPU supports (CPUID probe; cached).
 Level DetectLevel();
@@ -153,9 +167,15 @@ inline size_t And3CountWords(uint64_t* dst, const uint64_t* a,
   return Active().and3_count_words(dst, a, b, n);
 }
 
+inline void LatticeCounts(const uint64_t* base, const uint64_t* const* preds,
+                          size_t k, const uint32_t* words, size_t n,
+                          size_t* counts) {
+  Active().lattice_counts(base, preds, k, words, n, counts);
+}
+
 // ---------------------------------------------------------------------------
 // Tuning constants shared by all tiers (measured on the dev box — see
-// DESIGN.md "SIMD dispatch & batch cost model" for the methodology).
+// DESIGN.md "SIMD dispatch" for the methodology).
 // ---------------------------------------------------------------------------
 
 /// Array∩array switches from the element-wise kernel to galloping (binary

@@ -22,6 +22,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/simd_lattice_counts.h"
+
 namespace falcon {
 namespace simd {
 namespace internal {
@@ -309,11 +311,42 @@ uint32_t Sse42Crc32cExtend(uint32_t crc, const void* data, size_t n) {
   return state32 ^ 0xFFFFFFFFu;
 }
 
+// ---------------------------------------------------------------------------
+// Lattice counts: 256-row blocks. A node's popcount is four scalar
+// `popcnt`s; the nibble-lookup reduction above pays off only when it is
+// amortized over a long loop.
+// ---------------------------------------------------------------------------
+
+struct Avx2BlockOps {
+  static constexpr size_t kWords = 4;
+  using V = __m256i;
+  static V Load(const uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static V And(V a, V b) { return _mm256_and_si256(a, b); }
+  static bool Zero(V v) { return _mm256_testz_si256(v, v) != 0; }
+  static size_t Pop(V v) {
+    __m128i lo = _mm256_castsi256_si128(v);
+    __m128i hi = _mm256_extracti128_si256(v, 1);
+    return static_cast<size_t>(
+        _mm_popcnt_u64(static_cast<uint64_t>(_mm_cvtsi128_si64(lo))) +
+        _mm_popcnt_u64(static_cast<uint64_t>(_mm_extract_epi64(lo, 1))) +
+        _mm_popcnt_u64(static_cast<uint64_t>(_mm_cvtsi128_si64(hi))) +
+        _mm_popcnt_u64(static_cast<uint64_t>(_mm_extract_epi64(hi, 1))));
+  }
+};
+
+void Avx2LatticeCounts(const uint64_t* base, const uint64_t* const* preds,
+                       size_t k, const uint32_t* words, size_t n,
+                       size_t* counts) {
+  LatticeCountsImpl<Avx2BlockOps>(base, preds, k, words, n, counts);
+}
+
 constexpr Kernels kAvx2Kernels = {
     Avx2PopcountWords,    Avx2AndCountWords,  Avx2AndWords,
     Avx2AndNotWords,      Avx2OrWords,        Avx2IntersectU16,
     Avx2IntersectU16Count, Avx2ArrayBitmapCount, Avx2And3CountWords,
-    Sse42Crc32cExtend,
+    Sse42Crc32cExtend,    Avx2LatticeCounts,
 };
 
 }  // namespace

@@ -15,6 +15,8 @@
 
 #include <immintrin.h>
 
+#include "common/simd_lattice_counts.h"
+
 namespace falcon {
 namespace simd {
 namespace internal {
@@ -138,6 +140,25 @@ size_t Avx512ArrayBitmapCount(const uint16_t* vals, size_t n,
   return count;
 }
 
+// Lattice counts: 512-row blocks, a mask-register zero test and one
+// VPOPCNTDQ per visited node.
+struct Avx512BlockOps {
+  static constexpr size_t kWords = 8;
+  using V = __m512i;
+  static V Load(const uint64_t* p) { return _mm512_loadu_si512(p); }
+  static V And(V a, V b) { return _mm512_and_si512(a, b); }
+  static bool Zero(V v) { return _mm512_test_epi64_mask(v, v) == 0; }
+  static size_t Pop(V v) {
+    return static_cast<size_t>(_mm512_reduce_add_epi64(_mm512_popcnt_epi64(v)));
+  }
+};
+
+void Avx512LatticeCounts(const uint64_t* base, const uint64_t* const* preds,
+                         size_t k, const uint32_t* words, size_t n,
+                         size_t* counts) {
+  LatticeCountsImpl<Avx512BlockOps>(base, preds, k, words, n, counts);
+}
+
 }  // namespace
 
 const Kernels* Avx512Kernels() {
@@ -153,6 +174,7 @@ const Kernels* Avx512Kernels() {
     k.or_words = Avx512OrWords;
     k.array_bitmap_count = Avx512ArrayBitmapCount;
     k.and3_count_words = Avx512And3CountWords;
+    k.lattice_counts = Avx512LatticeCounts;
     return k;
   }();
   return &kernels;

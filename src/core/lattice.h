@@ -6,31 +6,33 @@
 // Containment Q ≤ Q' ⇔ attr(Q') ⊆ attr(Q); the bottom node ∅ is the most
 // general query, the top node (all attributes) the most specific.
 //
-// The lattice maintains, per node, the affected row set — rows matching the
-// WHERE clause whose A value differs from a' — and tracks validity state
-// with the paper's inference rules.
+// The lattice keeps, per node, the cardinality of its affected row set —
+// rows matching the WHERE clause whose A value differs from a' — and
+// tracks validity state with the paper's inference rules.
 //
-// Materialization is LAZY by default: Build only computes the bottom node
-// and the per-attribute predicate bitmaps; a node's affected set / count is
-// computed on first access via the ancestor-chain recurrence
+// Build computes only the bottom node's bitmap and the per-attribute
+// predicate bitmaps. The first Count runs one blocked kernel
+// (simd::LatticeCounts) that counts all 2^k nodes at once,
 //
-//     affected(m) = affected(m without its lowest attribute) ∧ pred(lowest)
+//     |affected(m)| = popcount(bottom ∧ ∧_{i∈m} pred(i)),
 //
-// which recursively materializes only the ancestor chain actually needed,
-// then caches it for the lattice's lifetime. Counts use the fused
-// RowSet::AndCount kernel (no intermediate bitmap), and EnsureCounts batches
-// a search frontier through ThreadPool::ParallelFor. Applied queries
-// incrementally maintain whatever is cached (maintenance Cases 1–3 of
-// Section 5.1.2, restricted to the materialized subset); closed rule sets
-// (Section 5.2) resolve a node's representative through the
-// predicate-closure rule without materializing anything beyond the node
-// itself.
+// and from then on every count is a lookup. A node's bitmap is built
+// (from its largest resident subset) only when a caller needs its rows:
+// the oracle's TrueValid, ApplyValid's journal and ApplyNode. ApplyNode
+// keeps the counts exact by running the same kernel over only the words a
+// repair touched, with the changed rows as base, and subtracting the result
+// from every count (the paper's maintenance Cases 1–3 of Section 5.1.2 are
+// all this one subtraction); resident bitmaps get one AND-NOT over the same
+// words. Closed rule sets (Section 5.2) read the counts: a node's
+// representative adds every attribute whose child keeps the node's count.
+//
+// LatticeOptions::lazy = false keeps the eager reference path: every
+// bitmap is built up front and every count is a popcount of its bitmap.
 #ifndef FALCON_CORE_LATTICE_H_
 #define FALCON_CORE_LATTICE_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/row_set.h"
@@ -52,6 +54,7 @@ class PostingIndex;
 /// per-node state vectors are sized 2^k, so builds beyond this are refused
 /// outright (partial materialization should have capped k long before).
 inline constexpr size_t kMaxLatticeAttrs = 20;
+static_assert(kMaxLatticeAttrs <= simd::kLatticeCountsMaxAttrs);
 
 /// Lattice construction options.
 struct LatticeOptions {
@@ -76,11 +79,11 @@ struct LatticeOptions {
   /// query's writes as deltas (only meaningful when the index is in
   /// delta-maintenance mode). Off reverts to caller-side invalidation.
   bool maintain_index = true;
-  /// Materialize node affected-sets on first access instead of at Build
-  /// (the default). Off forces the legacy eager build — every node's
-  /// bitmap and count computed up front — kept for A/B benchmarks and the
-  /// lazy≡eager equivalence tests. Either way accessors return identical
-  /// bits; only the work schedule differs.
+  /// Count every node with the blocked kernel and build a node's bitmap
+  /// only when its rows are needed (the default). Off forces the eager
+  /// reference build — every node's bitmap up front, counts by popcount —
+  /// kept for A/B benchmarks and the lazy≡eager equivalence tests. Either
+  /// way accessors return identical bits and counts.
   bool lazy = true;
 };
 
@@ -131,22 +134,14 @@ class Lattice {
 
   // --- Affected sets ---------------------------------------------------------
 
-  /// Node `n`'s affected rows, materializing the minimal ancestor chain on
-  /// first access (lazy mode) and caching the result. The reference stays
-  /// valid for the lattice's lifetime; bits are identical to an eager
-  /// build's.
+  /// Node `n`'s affected rows, built on first access from the largest
+  /// resident subset of n and kept for the lattice's lifetime. Bits are
+  /// identical to an eager build's.
   const RowSet& AffectedRows(NodeId n) const;
 
-  /// |AffectedRows(n)|, computed on first access via the fused AndCount
-  /// kernel against the parent's bitmap — the node's own bitmap is *not*
-  /// materialized when only the cardinality is needed.
+  /// |AffectedRows(n)|. The first call counts every node in one kernel
+  /// pass (lazy mode); later calls are lookups. Never builds a bitmap.
   size_t Count(NodeId n) const;
-
-  /// Batch form of Count for a search frontier: materializes the needed
-  /// ancestor bitmaps level-by-level and computes the fused counts in
-  /// parallel shards (ThreadPool::ParallelFor, disjoint slots —
-  /// deterministic). No-op in eager mode or for already-counted nodes.
-  void EnsureCounts(const std::vector<NodeId>& nodes) const;
 
   /// Legacy accessor names (aliases of AffectedRows/Count).
   const RowSet& affected(NodeId n) const { return AffectedRows(n); }
@@ -160,11 +155,8 @@ class Lattice {
   /// Laziness counters for SessionMetrics / the benches.
   struct LazyStats {
     size_t nodes_materialized = 0;  ///< Node bitmaps resident.
-    size_t fused_count_calls = 0;   ///< Counts served by AndCount alone.
   };
-  LazyStats lazy_stats() const {
-    return {nodes_materialized_, fused_count_calls_};
-  }
+  LazyStats lazy_stats() const { return {resident_.size()}; }
   bool lazy() const { return lazy_; }
 
   // --- Validity and inference ------------------------------------------------
@@ -180,24 +172,24 @@ class Lattice {
   /// (subsets of n's attribute set).
   void MarkInvalid(NodeId n);
 
-  /// Nodes whose validity is still unknown.
-  std::vector<NodeId> UnknownNodes() const;
-
   // --- Application and maintenance -------------------------------------------
 
-  /// Per-case counters for the incremental maintenance of Section 5.1.2.
+  /// Per-case node tallies for the incremental maintenance of Section
+  /// 5.1.2. One delta pass serves all three cases; the tallies depend only
+  /// on the applied node's mask.
   struct MaintenanceStats {
-    size_t case1_contained = 0;  ///< Q' ≤ Q: set drops to ∅ (constant time).
-    size_t case2_containing = 0; ///< Q ≤ Q'': count -= |Q(T)| (one AND-NOT).
-    size_t case3_disjoint = 0;   ///< overlap counted then removed.
+    size_t case1_contained = 0;  ///< Q' ≤ Q: the whole count is subtracted.
+    size_t case2_containing = 0; ///< Q ≤ Q'': |Q(T)| is subtracted.
+    size_t case3_disjoint = 0;   ///< the overlap with Q(T) is subtracted.
   };
 
   /// Applies node `n`'s query to `table` (which must be the table the
   /// lattice was built over): writes the target value into every affected
-  /// row and incrementally updates the *cached* affected sets and counts
-  /// (Cases 1–3 of Section 5.1.2, each with its cheap path; in lazy mode
-  /// unmaterialized nodes pay nothing and later materialize against the
-  /// equally-maintained predicate bitmaps). Returns the changed rows.
+  /// row and keeps every count and resident bitmap exact (Section 5.1.2):
+  /// the counts lose the kernel's delta over the repaired words, the
+  /// resident bitmaps one AND-NOT over the same words, and the predicate
+  /// bitmaps over the repaired column follow the write. Returns the
+  /// changed rows.
   ///
   /// When `fault` is non-null the per-row writes check the `apply.write`
   /// fault-injection site: on an injected fault the apply stops mid-write
@@ -214,8 +206,9 @@ class Lattice {
 
   /// Benchmark/naive path: recomputes every affected set from the current
   /// table contents (what a from-scratch rebuild would do). In lazy mode
-  /// this drops all cached node state and refetches the bottom/predicate
-  /// bitmaps; accesses then re-materialize against the new table contents.
+  /// this drops every resident node bitmap and the counts and refetches the
+  /// bottom/predicate bitmaps; accesses then recount and rebuild against
+  /// the new table contents.
   void RecomputeAffected(const Table& table);
 
   // --- Query materialization ---------------------------------------------------
@@ -229,22 +222,19 @@ class Lattice {
   // --- Closed rule sets (Section 5.2) -----------------------------------------
 
   /// Representative rule of n's closed rule set: the set member with the
-  /// most WHERE predicates. Computed by the predicate-closure rule —
-  /// rep(n) = n ∪ {i ∉ n : affected(n) ⊆ pred(i)} — which touches only n's
-  /// own bitmap, so it never forces materialization beyond n. (Equivalent
-  /// to grouping nodes by identical affected sets: equal-set classes are
-  /// closed under attribute union, making the closure their unique maximal
-  /// member.) Memoized per node until the next applied query.
-  NodeId Representative(NodeId n);
+  /// most WHERE predicates. Attribute i keeps n's affected set unchanged iff
+  /// Count(n ∪ {i}) == Count(n) (the child's set is a subset of n's), so
+  /// rep(n) = n ∪ {i : Count(n ∪ {i}) == Count(n)}: k count lookups and no
+  /// bitmap. (Equal-set classes are closed under attribute union, which
+  /// makes this closure their unique maximal member.) An empty affected set
+  /// closes to the top node.
+  NodeId Representative(NodeId n) const;
 
-  /// Number of distinct closed rule sets at the current counts (stats
-  /// only; materializes every node in lazy mode).
-  size_t NumClosedSets();
+  /// Number of distinct closed rule sets at the current counts: the
+  /// number of distinct representatives (stats only).
+  size_t NumClosedSets() const;
 
  private:
-  /// Sentinel in counts_: cardinality not yet computed.
-  static constexpr size_t kNoCount = static_cast<size_t>(-1);
-
   Lattice() = default;
 
   /// Fills affected_[bottom] and the per-attribute predicate bitmaps
@@ -254,16 +244,12 @@ class Lattice {
   /// node off the lowest-set-bit parent).
   void EagerChain();
   void InitAffectedNaive(const Table& table);
-  /// Marks every node materialized + counted after an eager init.
+  /// Marks every node resident and counts it by popcount (eager init).
   void FinishEagerInit();
-  /// Records that node m now holds cached state (bitmap and/or count).
-  void MarkCached(NodeId m) const;
-  /// Materializes node m's bitmap via the ancestor-chain recurrence. Also
-  /// fills counts_[m] (the fused kernel counts while it writes, so the
-  /// count is free).
-  const RowSet& MaterializeBitmap(NodeId m) const;
-  void MaterializeAll() const;
-  void EnsureClosedSets();
+  /// Runs the lattice_counts kernel with `base` over `words` (null: all
+  /// words), adding into `out` (2^k entries).
+  void KernelCounts(const RowSet& base, const std::vector<uint32_t>* words,
+                    size_t* out) const;
 
   std::vector<size_t> cols_;          // Lattice attribute -> table column.
   std::vector<ValueId> bindings_;     // Predicate constant per attribute.
@@ -280,35 +266,23 @@ class Lattice {
 
   /// Per-attribute predicate bitmaps (value copies — posting references
   /// can be invalidated/evicted under the lattice). ApplyNode maintains
-  /// them exactly alongside the node sets, which is what keeps the chain
-  /// recurrence (and the closure rule) correct for nodes materialized
-  /// *after* repairs were applied. Always dense: compressed postings are
-  /// copied out dense once per build.
+  /// them exactly, which keeps the counts and every bitmap built *after*
+  /// repairs correct. Always dense: compressed postings are copied out
+  /// dense once per build.
   std::vector<RowSet> preds_;
 
-  // Lazily-populated per-node caches. Mutable because materialization is
-  // memoization: const accessors (oracles, tests) observe identical values
-  // whether or not the bits were resident beforehand. An empty set
-  // (universe 0 ≠ num_table_rows_) marks "not materialized"; kNoCount
-  // marks "not counted". cached_nodes_ lists every node holding any state
-  // so ApplyNode maintenance iterates only those.
+  // Mutable because counting and materialization are memoization: const
+  // accessors (oracles, tests) observe identical values whether or not the
+  // state was resident beforehand. An empty set (universe 0 ≠
+  // num_table_rows_) marks "not materialized"; resident_ lists every
+  // materialized node, so ApplyNode maintains only those. counts_ is empty
+  // until the first Count (lazy mode) and then holds all 2^k counts.
   mutable std::vector<RowSet> affected_;
+  mutable std::vector<NodeId> resident_;
   mutable std::vector<size_t> counts_;
-  mutable std::vector<uint8_t> cached_flag_;
-  mutable std::vector<NodeId> cached_nodes_;
-  mutable size_t nodes_materialized_ = 0;
-  mutable size_t fused_count_calls_ = 0;
 
   std::vector<Validity> validity_;
   MaintenanceStats maintenance_stats_;
-
-  /// Per-node Representative memo; cleared on every applied query.
-  std::unordered_map<NodeId, NodeId> rep_cache_;
-
-  // Closed-set grouping state (NumClosedSets only).
-  bool closed_sets_fresh_ = false;
-  std::vector<uint32_t> closed_group_;
-  std::vector<NodeId> group_representative_;
 };
 
 }  // namespace falcon

@@ -5,12 +5,12 @@
 // inference rules — so individual algorithms only decide *which* node to
 // ask next.
 //
-// Lattices materialize lazily (see lattice.h): algorithms batch each
-// frontier they are about to rank through Lattice::EnsureCounts before
-// filtering on affected counts, so the counts come from parallel fused
-// AndCount kernels instead of per-node ancestor-chain walks. Batching is a
-// scheduling choice only — every observable (questions asked, answers,
-// applied repairs) is bit-identical to the serial and to the eager path.
+// Algorithms rank and filter nodes by Lattice::Count, which counts the
+// whole lattice in one kernel pass on first use and is a lookup after
+// that (see lattice.h), so no algorithm schedules counting work. Node
+// bitmaps are built only for the rows a question or an apply needs. Every
+// observable (questions asked, answers, applied repairs) is bit-identical
+// to the eager path's.
 #ifndef FALCON_CORE_SEARCH_H_
 #define FALCON_CORE_SEARCH_H_
 

@@ -11,20 +11,6 @@ bool Askable(const Lattice& lat, NodeId n) {
   return lat.validity(n) == Validity::kUnknown && lat.affected_count(n) > 0;
 }
 
-/// Batch-counts a frontier before Askable filtering: validity-unknown
-/// candidates get their affected counts in one EnsureCounts call (parallel
-/// fused kernels in lazy mode) instead of one-at-a-time materializations.
-/// Nodes already resolved by inference are skipped — they never need a
-/// count, which is where lazy materialization wins.
-void PrefetchCounts(const Lattice& lat, const std::vector<NodeId>& frontier) {
-  std::vector<NodeId> open;
-  open.reserve(frontier.size());
-  for (NodeId m : frontier) {
-    if (lat.validity(m) == Validity::kUnknown) open.push_back(m);
-  }
-  lat.EnsureCounts(open);
-}
-
 /// True iff a and b are comparable in the lattice (one contains the other).
 bool Linked(NodeId a, NodeId b) {
   return (a & b) == a || (a & b) == b;
@@ -45,9 +31,6 @@ void BfsSearch::Run(LatticeSearchContext& ctx) {
     levels[static_cast<size_t>(std::popcount(m))].push_back(m);
   }
   for (size_t level = 0; level <= k; ++level) {
-    // The whole level is one frontier: count it in a single parallel batch
-    // before walking it in order.
-    PrefetchCounts(lat, levels[level]);
     for (NodeId m : levels[level]) {
       if (!ctx.BudgetLeft()) return;
       if (!Askable(lat, m)) continue;
@@ -69,7 +52,6 @@ void DfsSearch::Run(LatticeSearchContext& ctx) {
   for (size_t i = k; i-- > 0;) {
     stack.push_back(NodeId{1} << i);
   }
-  PrefetchCounts(lat, stack);  // The singleton frontier, counted as a batch.
   while (!stack.empty() && ctx.BudgetLeft()) {
     NodeId m = stack.back();
     stack.pop_back();
@@ -82,9 +64,6 @@ void DfsSearch::Run(LatticeSearchContext& ctx) {
     for (size_t i = k; i-- > static_cast<size_t>(high) + 1;) {
       children.push_back(m | (NodeId{1} << i));
     }
-    // Expanding several children at once is the batch opportunity: their
-    // counts come from fused sibling ANDs over the shared parent bitmap.
-    PrefetchCounts(lat, children);
     stack.insert(stack.end(), children.begin(), children.end());
   }
 }
@@ -101,8 +80,6 @@ void DuccSearch::Run(LatticeSearchContext& ctx) {
   // (most general) open level of the lattice, as the original bottom-up
   // unique-column-combination walk does.
   auto random_askable = [&]() -> NodeId {
-    // Full-lattice frontier: batch-count everything inference left open.
-    lat.EnsureCounts(lat.UnknownNodes());
     std::vector<NodeId> pool;
     int best_level = static_cast<int>(k) + 1;
     for (NodeId m = 1; m < lat.num_nodes(); ++m) {
@@ -132,8 +109,7 @@ void DuccSearch::Run(LatticeSearchContext& ctx) {
     }
 
     // Pivot: valid → try a more general neighbour (seek the maximal valid
-    // border); invalid → try a more specific neighbour. One-hop neighbours
-    // form a small frontier — counted as one batch before filtering.
+    // border); invalid → try a more specific neighbour.
     std::vector<NodeId> candidates;
     if (valid) {
       NodeId bits = current;
@@ -148,7 +124,6 @@ void DuccSearch::Run(LatticeSearchContext& ctx) {
         if (child != current) candidates.push_back(child);
       }
     }
-    PrefetchCounts(lat, candidates);
     std::vector<NodeId> moves;
     for (NodeId c : candidates) {
       if (Askable(lat, c)) moves.push_back(c);
@@ -197,10 +172,6 @@ void DiveSearch::Run(LatticeSearchContext& ctx) {
   const size_t d = ctx.tuning().dive_depth;
 
   auto collect = [&](auto&& pred) {
-    // Whole-lattice pool scans (D1/D6) sort by count at D2, so every open
-    // node needs its count anyway — one parallel batch beats 2^k serial
-    // chain walks.
-    lat.EnsureCounts(lat.UnknownNodes());
     std::vector<NodeId> pool;
     for (NodeId m = 0; m < lat.num_nodes(); ++m) {
       if (Askable(lat, m) && pred(m)) pool.push_back(m);
@@ -280,15 +251,13 @@ void DiveSearch::Run(LatticeSearchContext& ctx) {
     if (res->valid) {
       // D4: the query was applied; continue among strictly more general
       // nodes (its proper subsets) — they may still be valid with more
-      // coverage. Enumerate first, batch-count, then filter in the same
-      // order.
+      // coverage.
       depth = 0;
       std::vector<NodeId> subsets;
       for (NodeId s = asked;; s = (s - 1) & asked) {
         if (s != asked) subsets.push_back(s);
         if (s == 0) break;
       }
-      PrefetchCounts(lat, subsets);
       pool.clear();
       for (NodeId s : subsets) {
         if (Askable(lat, s)) pool.push_back(s);
@@ -306,7 +275,6 @@ void DiveSearch::Run(LatticeSearchContext& ctx) {
           if (s != asked) supersets.push_back(s);
           if (s == full) break;
         }
-        PrefetchCounts(lat, supersets);
         pool.clear();
         for (NodeId s : supersets) {
           if (Askable(lat, s)) pool.push_back(s);
@@ -323,9 +291,9 @@ void DiveSearch::Run(LatticeSearchContext& ctx) {
 void OfflineSearch::Run(LatticeSearchContext& ctx) {
   Lattice& lat = ctx.lattice();
   while (ctx.BudgetLeft()) {
-    // Greedy max-benefit scan over every open node: counts in one batch,
-    // then TrueValid probes only the improving candidates.
-    lat.EnsureCounts(lat.UnknownNodes());
+    // Greedy max-benefit scan over every open node: the counts are
+    // lookups, and TrueValid probes (and builds the rows of) only the
+    // improving candidates.
     NodeId best = 0;
     size_t best_count = 0;
     for (NodeId m = 0; m < lat.num_nodes(); ++m) {

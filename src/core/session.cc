@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -69,7 +70,18 @@ Status CleaningSession::Start(bool fresh) {
   wrong_updated_.clear();
   append_ingest_ms_ = 0.0;
   finished_ = false;
-  metrics_.initial_errors = dirty_->CountDiffCells(*clean_);
+  // One column-major pass over both tables finds every dirty cell; sorted
+  // by (row, col), they are the row-major worklist order.
+  std::vector<uint64_t> dirty_cells;
+  for (size_t c = 0; c < dirty_->num_cols(); ++c) {
+    const std::vector<ValueId>& got = dirty_->column(c);
+    const std::vector<ValueId>& want = clean_->column(c);
+    for (size_t r = 0; r < got.size(); ++r) {
+      if (got[r] != want[r]) dirty_cells.push_back((uint64_t{r} << 32) | c);
+    }
+  }
+  std::sort(dirty_cells.begin(), dirty_cells.end());
+  metrics_.initial_errors = dirty_cells.size();
   max_updates_ = options_.max_updates != 0
                      ? options_.max_updates
                      : metrics_.initial_errors * 10 + 100;
@@ -86,13 +98,9 @@ Status CleaningSession::Start(bool fresh) {
   if (options_.detector_driven) {
     RefillFromDetector();
   } else {
-    for (size_t r = 0; r < dirty_->num_rows(); ++r) {
-      for (size_t c = 0; c < dirty_->num_cols(); ++c) {
-        if (dirty_->cell(r, c) != clean_->cell(r, c)) {
-          worklist_.emplace_back(static_cast<uint32_t>(r),
-                                 static_cast<uint32_t>(c));
-        }
-      }
+    for (uint64_t cell : dirty_cells) {
+      worklist_.emplace_back(static_cast<uint32_t>(cell >> 32),
+                             static_cast<uint32_t>(cell));
     }
   }
 
@@ -631,7 +639,6 @@ StatusOr<SessionMetrics> CleaningSession::MainLoop(size_t max_episodes) {
     Lattice::LazyStats lazy = lattice.lazy_stats();
     metrics_.nodes_materialized += lazy.nodes_materialized;
     metrics_.nodes_total += lattice.num_nodes();
-    metrics_.fused_count_calls += lazy.fused_count_calls;
     // An injected fault, journal I/O failure, or oracle outage latched
     // into the context quenches the episode; surface it instead of
     // continuing on inconsistent state.

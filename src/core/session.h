@@ -145,10 +145,9 @@ struct SessionMetrics {
   size_t posting_dense_bytes = 0;     ///< Dense-equivalent bytes of the same.
   double posting_compression = 1.0;   ///< dense/resident (>1 ⇒ winning).
 
-  // Lazy lattice materialization over the run (see Lattice::LazyStats).
+  // Lattice node bitmaps over the run (see Lattice::LazyStats).
   size_t nodes_materialized = 0;   ///< Node bitmaps actually computed.
   size_t nodes_total = 0;          ///< Σ 2^k across built lattices.
-  size_t fused_count_calls = 0;    ///< Counts served by AndCount alone.
   // Always 0: the lattice no longer memoizes pairwise intersections across
   // lattices. Kept only because the perfbench program still reads them.
   size_t lattice_memo_hits = 0;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 
 namespace falcon {
@@ -20,29 +22,6 @@ StatusOr<std::string> RequiredSession(const JsonValue& request) {
     return Status::InvalidArgument("missing required field: session");
   }
   return id;
-}
-
-StatusOr<uint32_t> Uint32Field(const JsonValue& request, const char* key) {
-  const JsonValue* v = request.Find(key);
-  if (v == nullptr || !v->is_number()) {
-    return Status::InvalidArgument(std::string("missing numeric field: ") +
-                                   key);
-  }
-  int64_t raw = v->AsInt();
-  if (raw < 0 || raw > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument(std::string("field out of range: ") + key);
-  }
-  return static_cast<uint32_t>(raw);
-}
-
-/// Optional idempotency sequence number (absent / 0 = legacy path).
-StatusOr<uint64_t> SeqField(const JsonValue& request) {
-  const JsonValue* v = request.Find("seq");
-  if (v == nullptr) return static_cast<uint64_t>(0);
-  if (!v->is_number() || v->AsInt() < 0) {
-    return Status::InvalidArgument("seq must be a non-negative integer");
-  }
-  return static_cast<uint64_t>(v->AsInt());
 }
 
 /// Reads open_session's numeric fields into `params`: the one place they
@@ -80,6 +59,51 @@ Status ReadOpenNumbers(const JsonValue& request,
     *out = p;
   }
   return Status::Ok();
+}
+
+/// Reads the non-negative integer field `key` of a session verb (`row`,
+/// `col`, `repair`, `seq`, `episodes`): the one place those fields are
+/// checked. An absent field yields `absent`, or is an error when `absent`
+/// is empty. A present one must be a number holding an integer in
+/// [0, max]: a string, a fraction, a non-finite value or one out of range
+/// is refused, never rounded, truncated or replaced by a default.
+StatusOr<uint64_t> ReadIndexField(const JsonValue& request, const char* key,
+                                  uint64_t max,
+                                  std::optional<uint64_t> absent) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) {
+    if (absent.has_value()) return *absent;
+    return Status::InvalidArgument(std::string("missing numeric field: ") +
+                                   key);
+  }
+  auto bad = [&] {
+    return Status::InvalidArgument(std::string(key) +
+                                   " must be an integer in [0, " +
+                                   std::to_string(max) + "]");
+  };
+  if (v->type() == JsonValue::Type::kInt) {
+    int64_t i = v->AsInt();
+    if (i < 0 || static_cast<uint64_t>(i) > max) return bad();
+    return static_cast<uint64_t>(i);
+  }
+  if (v->type() != JsonValue::Type::kDouble) return bad();
+  // A double must hold an exact integer; 0x1p63 bounds it so the cast below
+  // is defined (every max used here is below 2^63).
+  double d = v->AsDouble();
+  if (!(d >= 0.0 && d < 0x1p63) || d != std::floor(d) ||
+      static_cast<uint64_t>(d) > max) {
+    return bad();
+  }
+  return static_cast<uint64_t>(d);
+}
+
+/// Largest value `seq`, `repair` and `episodes` may carry: what a JSON
+/// integer (int64) holds.
+constexpr uint64_t kMaxIndex = std::numeric_limits<int64_t>::max();
+
+/// Optional idempotency sequence number (absent / 0 = legacy path).
+StatusOr<uint64_t> SeqField(const JsonValue& request) {
+  return ReadIndexField(request, "seq", kMaxIndex, 0);
 }
 
 JsonValue StatusResponse(const SessionStatus& st) {
@@ -120,13 +144,11 @@ JsonValue HandleOpen(SessionManager& manager, const JsonValue& request) {
 JsonValue HandleStep(SessionManager& manager, const JsonValue& request) {
   auto id = RequiredSession(request);
   if (!id.ok()) return ErrorResponse(id.status());
-  int64_t episodes = request.GetInt("episodes", 1);
-  if (episodes < 0) {
-    return ErrorResponse(Status::InvalidArgument("episodes must be >= 0"));
-  }
+  auto episodes = ReadIndexField(request, "episodes", kMaxIndex, 1);
+  if (!episodes.ok()) return ErrorResponse(episodes.status());
   auto seq = SeqField(request);
   if (!seq.ok()) return ErrorResponse(seq.status());
-  auto st = manager.Step(*id, static_cast<size_t>(episodes), *seq);
+  auto st = manager.Step(*id, static_cast<size_t>(*episodes), *seq);
   if (!st.ok()) return ErrorResponse(st.status());
   return StatusResponse(*st);
 }
@@ -135,9 +157,10 @@ JsonValue HandleUpdateCell(SessionManager& manager,
                            const JsonValue& request) {
   auto id = RequiredSession(request);
   if (!id.ok()) return ErrorResponse(id.status());
-  auto row = Uint32Field(request, "row");
+  constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  auto row = ReadIndexField(request, "row", kMaxU32, std::nullopt);
   if (!row.ok()) return ErrorResponse(row.status());
-  auto col = Uint32Field(request, "col");
+  auto col = ReadIndexField(request, "col", kMaxU32, std::nullopt);
   if (!col.ok()) return ErrorResponse(col.status());
   const JsonValue* value = request.Find("value");
   if (value == nullptr || !value->is_string()) {
@@ -146,7 +169,9 @@ JsonValue HandleUpdateCell(SessionManager& manager,
   }
   auto seq = SeqField(request);
   if (!seq.ok()) return ErrorResponse(seq.status());
-  auto st = manager.UpdateCell(*id, *row, *col, value->AsString(), *seq);
+  auto st = manager.UpdateCell(*id, static_cast<uint32_t>(*row),
+                               static_cast<uint32_t>(*col), value->AsString(),
+                               *seq);
   if (!st.ok()) return ErrorResponse(st.status());
   JsonValue r = OkResponse();
   r.Set("last_seq", static_cast<int64_t>(st->last_seq));
@@ -181,15 +206,11 @@ JsonValue HandleStatus(SessionManager& manager, const JsonValue& request) {
 JsonValue HandleRetract(SessionManager& manager, const JsonValue& request) {
   auto id = RequiredSession(request);
   if (!id.ok()) return ErrorResponse(id.status());
-  const JsonValue* repair = request.Find("repair");
-  if (repair == nullptr || !repair->is_number() || repair->AsInt() < 0) {
-    return ErrorResponse(
-        Status::InvalidArgument("missing non-negative field: repair"));
-  }
+  auto repair = ReadIndexField(request, "repair", kMaxIndex, std::nullopt);
+  if (!repair.ok()) return ErrorResponse(repair.status());
   auto seq = SeqField(request);
   if (!seq.ok()) return ErrorResponse(seq.status());
-  auto st =
-      manager.Retract(*id, static_cast<size_t>(repair->AsInt()), *seq);
+  auto st = manager.Retract(*id, static_cast<size_t>(*repair), *seq);
   if (!st.ok()) return ErrorResponse(st.status());
   JsonValue r = OkResponse();
   r.Set("last_seq", static_cast<int64_t>(st->last_seq));

@@ -1,11 +1,13 @@
 // Property tests over many randomly chosen repairs: structural lattice
-// invariants, and cross-module consistency between the lattice's bitmap
-// affected-sets and the SQLU evaluator run on the node's rendered query.
+// invariants, cross-module consistency between the lattice's bitmap
+// affected-sets and the SQLU evaluator run on the node's rendered query,
+// and counts kept exact across random sequences of applied nodes.
 #include <gtest/gtest.h>
 
 #include <bit>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/lattice.h"
 #include "datagen/datasets.h"
 #include "errorgen/injector.h"
@@ -56,8 +58,9 @@ TEST_P(LatticePropertyTest, AffectedSetsAreAntitone) {
     for (size_t b = 0; b < lat->num_attrs(); ++b) {
       NodeId child = m | (NodeId{1} << b);
       if (child == m) continue;
-      EXPECT_TRUE(lat->affected(child).IsSubsetOf(lat->affected(m)))
-          << "node " << m << " bit " << b;
+      RowSet both = lat->affected(child);
+      both.And(lat->affected(m));
+      EXPECT_EQ(both, lat->affected(child)) << "node " << m << " bit " << b;
       EXPECT_LE(lat->affected_count(child), lat->affected_count(m));
     }
   }
@@ -133,6 +136,54 @@ TEST_P(LatticePropertyTest, ClosedSetRepresentativeInvariants) {
     EXPECT_EQ(lat->affected(m), lat->affected(rep));
     EXPECT_EQ(rep & m, m);  // Representative contains m's predicates.
     EXPECT_EQ(lat->Representative(rep), rep);
+  }
+}
+
+// Random ApplyNode sequences: after every apply, each maintained count must
+// equal a fresh count of the current table under the same bindings (a copy
+// recomputed from the table, and the SQLU evaluator on sampled nodes), and
+// Representative must follow the bitmap rule: attribute i joins n's
+// representative iff adding it keeps n's affected rows.
+TEST_P(LatticePropertyTest, ApplySequencesKeepCountsExact) {
+  const Instance& inst = GetInstance();
+  Table dirty = inst.dirty.Clone();
+  const ErrorCell& e = inst.errors[GetParam() % inst.errors.size()];
+  std::vector<size_t> cols;
+  for (size_t c = 0; c < dirty.num_cols() && cols.size() < 6; ++c) {
+    if (c != e.col) cols.push_back(c);
+  }
+  Repair repair{e.row, e.col,
+                std::string(inst.clean.pool()->Get(e.clean_value))};
+  auto lat = Lattice::Build(dirty, repair, cols);
+  ASSERT_TRUE(lat.ok());
+  Rng rng(1000 + GetParam());
+  // Half the sequences count before the first apply, so the delta pass
+  // runs from the first apply on; the others apply before any count.
+  if (GetParam() % 2 == 0) lat->Count(0);
+  for (int step = 0; step < 4; ++step) {
+    // Mostly general nodes (few attributes), which repair many rows.
+    NodeId n = static_cast<NodeId>(rng.NextUint(lat->num_nodes())) &
+               static_cast<NodeId>(rng.NextUint(lat->num_nodes()));
+    lat->ApplyNode(n, dirty);
+    Lattice fresh = *lat;
+    fresh.RecomputeAffected(dirty);
+    for (NodeId m = 0; m < lat->num_nodes(); ++m) {
+      ASSERT_EQ(lat->Count(m), fresh.Count(m))
+          << "step " << step << " applied " << n << " node " << m;
+      NodeId want = m;
+      for (size_t i = 0; i < lat->num_attrs(); ++i) {
+        NodeId child = m | (NodeId{1} << i);
+        if (fresh.affected(child) == fresh.affected(m)) want |= child;
+      }
+      ASSERT_EQ(lat->Representative(m), want) << "step " << step << " node "
+                                              << m;
+    }
+    for (NodeId m = 0; m < lat->num_nodes(); m += 5) {
+      auto rows = AffectedRows(dirty, lat->NodeQuery(m));
+      ASSERT_TRUE(rows.ok());
+      ASSERT_EQ(rows->Count(), lat->Count(m)) << "step " << step << " node "
+                                              << m;
+    }
   }
 }
 

@@ -264,8 +264,8 @@ std::vector<size_t> NonzeroWords(const RowSet& rows) {
 }
 
 // Every resident bitmap of `lat` equals `ref`'s, and so does every count
-// (cached ones as maintained, the rest computed on a copy so `lat` keeps
-// its partial materialization).
+// (read on a copy, so `lat` keeps its state: counted or not, partly
+// materialized).
 void ExpectMatchesReference(const Lattice& lat, const Lattice& ref) {
   for (NodeId m = 0; m < lat.num_nodes(); ++m) {
     if (lat.materialized(m)) {
@@ -300,7 +300,8 @@ TEST(LatticeTest, WordRestrictedMaintenanceMatchesFreshBuild) {
       auto recomputed = Lattice::Build(table, repair, cols, eager);
       ASSERT_TRUE(lat.ok() && recomputed.ok());
       Rng rng(100 + seed);
-      // Partial materialization: some bitmaps, some counts only.
+      // Partial materialization: some bitmaps, and (from the first Count
+      // on) every count.
       auto touch_some = [&] {
         for (int i = 0; i < 5; ++i) {
           NodeId m = static_cast<NodeId>(rng.NextUint(lat->num_nodes()));
@@ -408,9 +409,11 @@ TEST(LatticeTest, BuildsAtMaxAttrsBoundary) {
   EXPECT_EQ(lat->num_attrs(), kMaxLatticeAttrs);
   EXPECT_EQ(lat->num_nodes(), NodeId{1} << kMaxLatticeAttrs);
   EXPECT_EQ(lat->lazy_stats().nodes_materialized, 1u);
-  // Counting the top walks (and caches) one ancestor chain, nothing more.
+  // Counting the top counts all 2^20 nodes in one kernel pass and builds
+  // no node bitmap.
   EXPECT_EQ(lat->affected_count(lat->top()), 1u);
-  EXPECT_LE(lat->lazy_stats().nodes_materialized, kMaxLatticeAttrs);
+  EXPECT_EQ(lat->affected_count(lat->bottom()), 2u);
+  EXPECT_EQ(lat->lazy_stats().nodes_materialized, 1u);
 }
 
 TEST(LatticeTest, RejectsBuildJustBeyondMaxAttrs) {

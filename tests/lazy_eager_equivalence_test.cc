@@ -153,24 +153,19 @@ TEST_P(LazyEagerEquivalenceTest, RunsBitIdentical) {
     }
 
     // Lazy/eager schedules must match *within* each storage mode too:
-    // nodes_materialized and fused_count_calls are representation
-    // independent by construction (MaterializeBitmap pre-fills counts in
-    // both modes).
+    // nodes_materialized does not depend on the posting storage.
     EXPECT_EQ(runs[0].metrics.nodes_materialized,
               runs[2].metrics.nodes_materialized);
-    EXPECT_EQ(runs[0].metrics.fused_count_calls,
-              runs[2].metrics.fused_count_calls);
     EXPECT_EQ(runs[1].metrics.nodes_materialized,
               runs[3].metrics.nodes_materialized);
 
     // And the lazy run must actually have been lazy: a strict subset of
-    // nodes materialized, with counts served by the fused kernel. The
-    // eager run materializes everything at build.
+    // nodes materialized, the counts coming from the kernel. The eager run
+    // materializes everything at build.
     const RunResult& lazy = runs[0];
     const RunResult& eager = runs[1];
     ASSERT_GT(lazy.metrics.nodes_total, 0u);
     EXPECT_LT(lazy.metrics.nodes_materialized, lazy.metrics.nodes_total);
-    EXPECT_GT(lazy.metrics.fused_count_calls, 0u);
     EXPECT_EQ(eager.metrics.nodes_materialized, eager.metrics.nodes_total);
   }
 }
@@ -249,31 +244,6 @@ TEST(LazyEagerLatticeTest, AccessorsMatchNodeForNode) {
     EXPECT_EQ(lazy->Representative(m), eager->Representative(m))
         << "node " << m;
   }
-}
-
-// EnsureCounts (the batched parallel path) must agree with serial Count.
-TEST(LazyEagerLatticeTest, BatchedCountsMatchSerial) {
-  Workload w = MakeWorkload(2000, /*seed=*/13);
-  Table dirty = w.dirty.Clone();
-  Repair repair{0, 0, std::string(w.clean.CellText(0, 0))};
-  std::vector<size_t> cols;
-  for (size_t c = 1; c < dirty.num_cols() && cols.size() < 6; ++c) {
-    cols.push_back(c);
-  }
-  auto batched = Lattice::Build(dirty, repair, cols);
-  auto serial = Lattice::Build(dirty, repair, cols);
-  ASSERT_TRUE(batched.ok());
-  ASSERT_TRUE(serial.ok());
-
-  std::vector<NodeId> all;
-  for (NodeId m = 0; m < batched->num_nodes(); ++m) all.push_back(m);
-  batched->EnsureCounts(all);
-  for (NodeId m = 0; m < batched->num_nodes(); ++m) {
-    EXPECT_EQ(batched->Count(m), serial->Count(m)) << "node " << m;
-  }
-  // Counting everything still materializes only about half the nodes (the
-  // lowest-set-bit parents): laziness survives a full-frontier count.
-  EXPECT_LT(batched->lazy_stats().nodes_materialized, batched->num_nodes());
 }
 
 }  // namespace

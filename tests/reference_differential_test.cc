@@ -2,7 +2,7 @@
 // compressed row sets, incremental maintenance, posting index) must behave
 // exactly like the simple reference path — eager dense lattices rebuilt
 // after every applied rule and no posting index — on seeded random
-// GeneratorSpec workloads, for CoDive and for the Dive and DFS searches. "Exactly" means the same
+// GeneratorSpec workloads, for every search algorithm. "Exactly" means the same
 // questions in the same order (node, target column, verdict), the same
 // user cost U and A, the same final table, and convergence to the clean
 // instance. Every derived spec column is an exact function of its parents,
@@ -169,6 +169,22 @@ TEST(ReferenceDifferentialTest, DiveMatchesReferenceOnRandomSpecs) {
 
 TEST(ReferenceDifferentialTest, DfsMatchesReferenceOnRandomSpecs) {
   CheckMatchesReferenceOnRandomSpecs(SearchKind::kDfs);
+}
+
+// BFS walks the lattice level by level and DUCC hops between neighbours;
+// both read counts in an order no binary-jump search does. OffLine asks
+// for the true validity of every improving node, so it builds the most
+// node bitmaps.
+TEST(ReferenceDifferentialTest, BfsMatchesReferenceOnRandomSpecs) {
+  CheckMatchesReferenceOnRandomSpecs(SearchKind::kBfs);
+}
+
+TEST(ReferenceDifferentialTest, DuccMatchesReferenceOnRandomSpecs) {
+  CheckMatchesReferenceOnRandomSpecs(SearchKind::kDucc);
+}
+
+TEST(ReferenceDifferentialTest, OfflineMatchesReferenceOnRandomSpecs) {
+  CheckMatchesReferenceOnRandomSpecs(SearchKind::kOffline);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/logging.h"
 #include "core/session.h"
 #include "core/session_journal.h"
 #include "datagen/workload.h"
@@ -303,6 +304,99 @@ TEST(ProtocolTest, OpenSessionRejectsInvalidNumericFields) {
   JsonValue r = HandleRequest(manager, open);
   ASSERT_TRUE(r.GetBool("ok")) << r.Serialize();
   EXPECT_EQ(manager.active_sessions(), 1u);
+  manager.CloseAll();
+}
+
+// The other verbs' integer fields (row, col, repair, seq, episodes) go
+// through one checker: a non-number, a fraction, a non-finite value or an
+// out-of-range value is refused with INVALID_ARGUMENT and changes nothing,
+// instead of being truncated or replaced by a default (a retract of
+// repair 1e300 used to retract repair 0, an update of row 1e19, col 2.7
+// wrote row 0, col 2, and "episodes":"5" ran one episode).
+TEST(ProtocolTest, SessionVerbsRejectInvalidNumericFields) {
+  SessionManager manager(ServiceLimits{});
+  auto id = manager.Open(SmallParams(7));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto before = manager.Info(*id);
+  ASSERT_TRUE(before.ok());
+
+  auto number = [](const std::string& text) {
+    auto v = JsonValue::Parse("{\"v\":" + text + "}");
+    FALCON_CHECK(v.ok());
+    return *v->Find("v");
+  };
+  auto request = [&](const char* verb) {
+    JsonValue r = JsonValue::Object();
+    r.Set("verb", verb);
+    r.Set("session", *id);
+    if (std::string(verb) == "update_cell") {
+      r.Set("row", 1);
+      r.Set("col", 2);
+      r.Set("value", "x");
+    } else if (std::string(verb) == "retract") {
+      r.Set("repair", 0);
+    } else {
+      r.Set("episodes", 1);
+    }
+    return r;
+  };
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* verb;
+    const char* field;
+    JsonValue value;
+  };
+  std::vector<Case> cases;
+  for (const char* bad : {"1e300", "1e19", "4294967296", "-1", "2.7", "\"1\"",
+                          "true", "null"}) {
+    cases.push_back({"update_cell", "row", number(bad)});
+    cases.push_back({"update_cell", "col", number(bad)});
+  }
+  for (const char* bad : {"1e300", "1e19", "-1", "0.5", "\"0\"", "[0]"}) {
+    cases.push_back({"retract", "repair", number(bad)});
+    cases.push_back({"step", "episodes", number(bad)});
+    cases.push_back({"step", "seq", number(bad)});
+    cases.push_back({"update_cell", "seq", number(bad)});
+  }
+  cases.push_back({"step", "episodes", number("\"5\"")});
+  for (double bad : {kNan, kInf, -kInf}) {
+    cases.push_back({"update_cell", "row", JsonValue(bad)});
+    cases.push_back({"retract", "repair", JsonValue(bad)});
+    cases.push_back({"step", "episodes", JsonValue(bad)});
+    cases.push_back({"step", "seq", JsonValue(bad)});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.verb) + " " + c.field + "=" +
+                 c.value.Serialize());
+    JsonValue req = request(c.verb);
+    req.Set(c.field, c.value);
+    JsonValue r = HandleRequest(manager, req);
+    EXPECT_FALSE(r.GetBool("ok")) << r.Serialize();
+    EXPECT_EQ(r.GetString("code"), "INVALID_ARGUMENT") << r.Serialize();
+  }
+  // A required field that is missing is refused the same way.
+  for (const char* field : {"row", "col"}) {
+    JsonValue req = JsonValue::Object();
+    req.Set("verb", "update_cell");
+    req.Set("session", *id);
+    req.Set("value", "x");
+    req.Set(field, 1);
+    EXPECT_EQ(HandleRequest(manager, req).GetString("code"),
+              "INVALID_ARGUMENT");
+  }
+  auto after = manager.Info(*id);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->table_crc, before->table_crc);
+  EXPECT_EQ(after->metrics.user_updates, before->metrics.user_updates);
+  EXPECT_EQ(after->repairs, before->repairs);
+
+  // An integer written as a double is still an integer.
+  JsonValue req = request("update_cell");
+  req.Set("row", number("1.0"));
+  req.Set("col", number("2e0"));
+  JsonValue r = HandleRequest(manager, req);
+  EXPECT_TRUE(r.GetBool("ok")) << r.Serialize();
   manager.CloseAll();
 }
 

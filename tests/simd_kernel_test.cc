@@ -1,6 +1,6 @@
 // Tier-equivalence tests for the runtime-dispatched SIMD kernels (CRC32C
-// included), plus the serial-vs-batched equivalence of the EnsureCounts
-// cost model that sits on top of them. Every kernel is a pure function and
+// and the lattice_counts walk included), plus the lattice's counts under
+// every tier. Every kernel is a pure function and
 // every tier must return bit-identical results (see common/simd.h); these tests compare each tier
 // the CPU can execute against the scalar reference on randomized inputs
 // whose cardinalities deliberately straddle the container promotion
@@ -273,105 +273,161 @@ TEST(SimdKernelTest, ActiveLevelClampsAndParses) {
 }
 
 // ---------------------------------------------------------------------------
-// EnsureCounts: the batch cost model picks serial or sharded execution from
-// frontier size and container footprints. Whatever it picks, the counts
-// must equal the serial per-node Count() chain — probed on frontiers that
-// land below and above the kMinWordsPerShard switch point, and after a
-// partial serial warm-up so the already-counted skip path runs too.
+// lattice_counts: every tier, in both the full-range and the word-list
+// form, must add exactly the per-node AndCount chain's counts.
 // ---------------------------------------------------------------------------
 
-struct CountFixture {
-  Table clean;
-  Table dirty;
-  Repair repair;
-  std::vector<size_t> cols;
-};
+// Per-node reference over the words in `words` (all n when empty): each
+// node's count is AndCount(parent bitmap, pred[lowest attribute]) down the
+// chain tree, with no pruning, so all 2^k nodes are computed directly.
+std::vector<size_t> ChainCounts(const std::vector<uint64_t>& base,
+                                const std::vector<std::vector<uint64_t>>& preds,
+                                const std::vector<uint32_t>* words) {
+  const Kernels* scalar = simd::TableFor(Level::kScalar);
+  size_t n = base.size();
+  size_t k = preds.size();
+  std::vector<uint64_t> masked_base = base;
+  if (words != nullptr) {
+    masked_base.assign(n, 0);
+    for (uint32_t w : *words) masked_base[w] = base[w];
+  }
+  std::vector<size_t> counts(size_t{1} << k, 0);
+  // levels[d] holds the bitmap of the node at depth d of the current path.
+  std::vector<std::vector<uint64_t>> levels(k + 1, std::vector<uint64_t>(n));
+  levels[0] = masked_base;
+  counts[0] = scalar->popcount_words(masked_base.data(), n);
+  // Recursive walk: children of node m are m | (1 << j) for j below m's
+  // lowest attribute.
+  auto visit = [&](auto&& self, uint32_t m, size_t depth, size_t below) -> void {
+    for (size_t j = 0; j < below; ++j) {
+      uint32_t child = m | (uint32_t{1} << j);
+      counts[child] = scalar->and_count_words(levels[depth].data(),
+                                              preds[j].data(), n);
+      scalar->and3_count_words(levels[depth + 1].data(), levels[depth].data(),
+                               preds[j].data(), n);
+      self(self, child, depth + 1, j);
+    }
+  };
+  visit(visit, 0, 0, k);
+  return counts;
+}
 
-CountFixture MakeCountFixture(size_t rows, size_t attrs, uint64_t seed) {
-  auto ds = MakeSynth(rows, seed);
-  FALCON_CHECK(ds.ok());
+// Random words of the given density with all-zero and all-one runs mixed
+// in, and the last word trimmed to `tail_bits` (0 = a full word), as a
+// RowSet's tail word is.
+std::vector<uint64_t> LatticeWords(std::mt19937_64& rng, size_t n, int depth,
+                                   size_t tail_bits) {
+  std::vector<uint64_t> w = RandomWords(rng, n, depth);
+  for (uint64_t& x : w) {
+    switch (rng() % 8) {
+      case 0:
+        x = 0;
+        break;
+      case 1:
+        x = ~uint64_t{0};
+        break;
+      default:
+        break;
+    }
+  }
+  if (n > 0 && tail_bits != 0) w.back() &= (uint64_t{1} << tail_bits) - 1;
+  return w;
+}
+
+void ExpectLatticeCountsMatchChain(std::mt19937_64& rng, size_t k, size_t n,
+                                   int base_depth, int pred_depth) {
+  size_t tail_bits = rng() % 64;
+  std::vector<uint64_t> base = LatticeWords(rng, n, base_depth, tail_bits);
+  std::vector<std::vector<uint64_t>> preds;
+  std::vector<const uint64_t*> pred_ptrs;
+  for (size_t i = 0; i < k; ++i) {
+    preds.push_back(LatticeWords(rng, n, pred_depth, tail_bits));
+  }
+  for (const auto& p : preds) pred_ptrs.push_back(p.data());
+  // Word lists: none, every word, and a random ascending subset.
+  std::vector<uint32_t> all;
+  std::vector<uint32_t> some;
+  for (uint32_t w = 0; w < n; ++w) {
+    all.push_back(w);
+    if (rng() % 3 == 0) some.push_back(w);
+  }
+  const std::vector<uint32_t> none;
+  std::vector<Level> tiers = {Level::kScalar};
+  for (Level level : VectorTiers()) tiers.push_back(level);
+  const std::vector<uint32_t>* forms[] = {nullptr, &none, &all, &some};
+  for (const std::vector<uint32_t>* words : forms) {
+    std::vector<size_t> want = ChainCounts(base, preds, words);
+    for (Level level : tiers) {
+      const Kernels* kern = simd::TableFor(level);
+      // The kernel adds into counts: start from an offset, not zero.
+      std::vector<size_t> got(size_t{1} << k, 7);
+      kern->lattice_counts(base.data(), pred_ptrs.data(), k,
+                           words == nullptr ? nullptr : words->data(),
+                           words == nullptr ? n : words->size(), got.data());
+      for (size_t m = 0; m < got.size(); ++m) {
+        ASSERT_EQ(got[m], want[m] + 7)
+            << simd::LevelName(level) << " k=" << k << " n=" << n
+            << " form=" << (words == nullptr ? "range" : "list")
+            << " list_len=" << (words == nullptr ? n : words->size())
+            << " node " << m;
+      }
+    }
+  }
+}
+
+TEST(LatticeCountsKernelTest, EveryTierMatchesChainReference) {
+  std::mt19937_64 rng(20261019);
+  // Lengths straddle the 1-, 4- and 8-word blocks of the three tiers.
+  const size_t kLens[] = {0, 1, 3, 4, 5, 7, 8, 9, 16, 17, 41};
+  for (size_t k = 1; k <= 12; ++k) {
+    for (size_t n : kLens) {
+      // Dense base, predicates from half-full to sparse.
+      for (int pred_depth : {1, 2, 4}) {
+        ExpectLatticeCountsMatchChain(rng, k, n, /*base_depth=*/1,
+                                      pred_depth);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(LatticeCountsKernelTest, TwentyAttributesOnSparsePredicates) {
+  std::mt19937_64 rng(4242);
+  for (size_t n : {size_t{1}, size_t{9}, size_t{17}}) {
+    ExpectLatticeCountsMatchChain(rng, simd::kLatticeCountsMaxAttrs, n,
+                                  /*base_depth=*/1, /*pred_depth=*/5);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The lattice's counts — from the first full pass and after each applied
+// node's delta pass — are identical under every tier.
+TEST(LatticeCountsKernelTest, LatticeCountsIdenticalUnderEveryTier) {
+  auto ds = MakeSynth(12000, 23);
+  ASSERT_TRUE(ds.ok());
   auto injected = InjectErrors(ds->clean, ds->error_spec);
-  FALCON_CHECK(injected.ok());
-  FALCON_CHECK(!injected->errors.empty());
+  ASSERT_TRUE(injected.ok());
+  ASSERT_FALSE(injected->errors.empty());
   const ErrorCell& e = injected->errors.front();
-  CountFixture f;
-  f.clean = ds->clean.Clone();
-  f.dirty = injected->dirty.Clone();
-  f.repair = Repair{e.row, e.col,
-                    std::string(ds->clean.pool()->Get(e.clean_value))};
-  for (size_t c = 0; c < f.dirty.num_cols() && f.cols.size() + 1 < attrs;
-       ++c) {
-    if (c != e.col) f.cols.push_back(c);
+  Repair repair{e.row, e.col, std::string(ds->clean.pool()->Get(e.clean_value))};
+  std::vector<size_t> cols;
+  for (size_t c = 0; c < injected->dirty.num_cols() && cols.size() < 6; ++c) {
+    if (c != e.col) cols.push_back(c);
   }
-  return f;
-}
-
-void ExpectBatchedMatchesSerial(const CountFixture& f,
-                                size_t warm_up_nodes) {
-  auto serial = Lattice::Build(f.dirty, f.repair, f.cols);
-  auto batch = Lattice::Build(f.dirty, f.repair, f.cols);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  std::vector<NodeId> frontier;
-  for (NodeId m = 0; m < serial->num_nodes(); ++m) frontier.push_back(m);
-  // Optional partial serial warm-up on the batch lattice: EnsureCounts must
-  // not recount (or worse, corrupt) nodes that already hold a count.
-  for (size_t i = 0; i < warm_up_nodes && i < frontier.size(); ++i) {
-    batch->Count(frontier[i]);
-  }
-  batch->EnsureCounts(frontier);
-  for (NodeId m : frontier) {
-    ASSERT_EQ(serial->Count(m), batch->Count(m)) << "node " << m;
-  }
-}
-
-TEST(EnsureCountsEquivalenceTest, SmallFrontierBelowShardThreshold) {
-  // 16 nodes over a few thousand rows: total work sits far below
-  // 2 * kMinWordsPerShard, so the planner stays serial.
-  ExpectBatchedMatchesSerial(MakeCountFixture(4000, 4, 11), 0);
-}
-
-TEST(EnsureCountsEquivalenceTest, WideFrontierAboveShardThreshold) {
-  // 256 nodes over 30k rows: ~470 logical words per unmaterialized node
-  // puts the total past the switch point, so a multi-worker pool shards
-  // (and a 0-worker pool still proves the serial fallback).
-  ExpectBatchedMatchesSerial(MakeCountFixture(30000, 8, 13), 0);
-}
-
-TEST(EnsureCountsEquivalenceTest, PartiallyCountedFrontier) {
-  ExpectBatchedMatchesSerial(MakeCountFixture(20000, 7, 17), 40);
-}
-
-TEST(EnsureCountsEquivalenceTest, RepeatedEnsureCountsIsIdempotent) {
-  CountFixture f = MakeCountFixture(10000, 6, 19);
-  auto lat = Lattice::Build(f.dirty, f.repair, f.cols);
-  ASSERT_TRUE(lat.ok());
-  std::vector<NodeId> frontier;
-  for (NodeId m = 0; m < lat->num_nodes(); ++m) frontier.push_back(m);
-  lat->EnsureCounts(frontier);
-  std::vector<size_t> first;
-  for (NodeId m : frontier) first.push_back(lat->Count(m));
-  lat->EnsureCounts(frontier);
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    EXPECT_EQ(lat->Count(frontier[i]), first[i]);
-  }
-}
-
-TEST(EnsureCountsEquivalenceTest, CountsIdenticalUnderEveryTier) {
-  // The batched path must be bit-identical across SIMD tiers, not just
-  // across scheduling decisions.
-  CountFixture f = MakeCountFixture(12000, 6, 23);
   std::vector<std::vector<size_t>> per_tier;
   for (Level level : {Level::kScalar, Level::kAVX2, Level::kAVX512}) {
     if (simd::TableFor(level) == nullptr) continue;
     ASSERT_TRUE(simd::SetLevel(simd::LevelName(level)).ok());
-    auto lat = Lattice::Build(f.dirty, f.repair, f.cols);
+    Table dirty = injected->dirty.Clone();
+    auto lat = Lattice::Build(dirty, repair, cols);
     ASSERT_TRUE(lat.ok());
-    std::vector<NodeId> frontier;
-    for (NodeId m = 0; m < lat->num_nodes(); ++m) frontier.push_back(m);
-    lat->EnsureCounts(frontier);
     std::vector<size_t> counts;
-    for (NodeId m : frontier) counts.push_back(lat->Count(m));
+    for (NodeId n : {NodeId{0}, lat->top() >> 1, lat->top()}) {
+      for (NodeId m = 0; m < lat->num_nodes(); ++m) {
+        counts.push_back(lat->Count(m));
+      }
+      lat->ApplyNode(n, dirty);
+    }
     per_tier.push_back(std::move(counts));
   }
   ASSERT_TRUE(simd::SetLevel("auto").ok());
