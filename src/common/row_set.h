@@ -51,6 +51,9 @@ class RowSet {
   uint64_t word(size_t i) const { return words_[i]; }
   /// Raw word storage for blocked SIMD kernels (read-only).
   const uint64_t* word_data() const { return words_.data(); }
+  /// Writable word storage for kernels that fill whole words; they must
+  /// leave the bits past universe_size() in the tail word zero.
+  uint64_t* mutable_word_data() { return words_.data(); }
   void SetWord(size_t i, uint64_t w) {
     // The tail word covers rows past universe_size(); storing raw bits there
     // would corrupt the Count()/Complement()/operator== invariants, so trim

@@ -5,6 +5,7 @@
 // the fallback really is executable anywhere.
 #include "common/simd.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -186,11 +187,24 @@ void ScalarLatticeCounts(const uint64_t* base, const uint64_t* const* preds,
                                               counts);
 }
 
+// Branch-free: each row's compare result is shifted into its bit.
+void ScalarEqMask(const uint32_t* values, size_t n, uint32_t v,
+                  uint64_t* out) {
+  for (size_t r0 = 0; r0 < n; r0 += 64) {
+    size_t len = std::min<size_t>(64, n - r0);
+    uint64_t word = 0;
+    for (size_t i = 0; i < len; ++i) {
+      word |= uint64_t{values[r0 + i] == v} << i;
+    }
+    out[r0 / 64] = word;
+  }
+}
+
 constexpr Kernels kScalarKernels = {
     ScalarPopcountWords,   ScalarAndCountWords,    ScalarAndWords,
     ScalarAndNotWords,     ScalarOrWords,          ScalarIntersectU16,
     ScalarIntersectU16Count, ScalarArrayBitmapCount, ScalarAnd3CountWords,
-    ScalarCrc32cExtend,    ScalarLatticeCounts,
+    ScalarCrc32cExtend,    ScalarLatticeCounts,    ScalarEqMask,
 };
 
 // ---------------------------------------------------------------------------

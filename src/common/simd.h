@@ -2,8 +2,10 @@
 // dominate the lattice/posting hot path: bitmap word loops (AND / ANDNOT /
 // OR / popcount / fused and-count), the blocked count of every lattice
 // node, sorted-u16 array intersection (the Roaring array-container
-// kernel), and array-against-bitmap membership counting — plus CRC32C, which hashes the whole table on every service
-// response (SSE4.2 `crc32` in the vector tiers). Three tiers are compiled
+// kernel), array-against-bitmap membership counting and the column
+// equality scan behind every posting miss — plus CRC32C, which hashes the
+// whole table on every service response (SSE4.2 `crc32` in the vector
+// tiers). Three tiers are compiled
 // — portable scalar, AVX2, and AVX-512 (with VPOPCNTDQ) — each in its own
 // translation unit with the matching -m flags, and the best tier the CPU
 // supports is selected once via CPUID on first use. The active tier can be
@@ -85,6 +87,12 @@ struct Kernels {
   void (*lattice_counts)(const uint64_t* base, const uint64_t* const* preds,
                          size_t k, const uint32_t* words, size_t n,
                          size_t* counts);
+  /// Equality bitmap of a u32 column: writes the ceil(n / 64) words of
+  /// out, bit r of out[r / 64] set iff values[r] == v. Bits past n in the
+  /// last word are zero. The single-value posting scan
+  /// (Table::ScanEquals).
+  void (*eq_mask)(const uint32_t* values, size_t n, uint32_t v,
+                  uint64_t* out);
 };
 
 /// Most predicates lattice_counts accepts (its walk keeps one stack frame
@@ -171,6 +179,11 @@ inline void LatticeCounts(const uint64_t* base, const uint64_t* const* preds,
                           size_t k, const uint32_t* words, size_t n,
                           size_t* counts) {
   Active().lattice_counts(base, preds, k, words, n, counts);
+}
+
+inline void EqMask(const uint32_t* values, size_t n, uint32_t v,
+                   uint64_t* out) {
+  Active().eq_mask(values, n, v, out);
 }
 
 // ---------------------------------------------------------------------------

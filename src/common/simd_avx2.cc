@@ -342,11 +342,41 @@ void Avx2LatticeCounts(const uint64_t* base, const uint64_t* const* preds,
   LatticeCountsImpl<Avx2BlockOps>(base, preds, k, words, n, counts);
 }
 
+// ---------------------------------------------------------------------------
+// Column equality scan: 8 lanes per compare, one movemask byte each, so 64
+// rows are 8 loads, 8 compares and 8 movemasks. A short tail runs scalar.
+// ---------------------------------------------------------------------------
+
+void Avx2EqMask(const uint32_t* values, size_t n, uint32_t v, uint64_t* out) {
+  const __m256i needle = _mm256_set1_epi32(static_cast<int>(v));
+  size_t w = 0;
+  for (; (w + 1) * 64 <= n; ++w) {
+    const uint32_t* p = values + w * 64;
+    uint64_t word = 0;
+    for (int j = 0; j < 8; ++j) {
+      __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8 * j));
+      __m256i eq = _mm256_cmpeq_epi32(x, needle);
+      uint64_t bits = static_cast<uint32_t>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
+      word |= bits << (8 * j);
+    }
+    out[w] = word;
+  }
+  if (w * 64 < n) {
+    uint64_t word = 0;
+    for (size_t r = w * 64; r < n; ++r) {
+      word |= uint64_t{values[r] == v} << (r - w * 64);
+    }
+    out[w] = word;
+  }
+}
+
 constexpr Kernels kAvx2Kernels = {
     Avx2PopcountWords,    Avx2AndCountWords,  Avx2AndWords,
     Avx2AndNotWords,      Avx2OrWords,        Avx2IntersectU16,
     Avx2IntersectU16Count, Avx2ArrayBitmapCount, Avx2And3CountWords,
-    Sse42Crc32cExtend,    Avx2LatticeCounts,
+    Sse42Crc32cExtend,    Avx2LatticeCounts,  Avx2EqMask,
 };
 
 }  // namespace

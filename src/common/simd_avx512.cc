@@ -159,12 +159,33 @@ void Avx512LatticeCounts(const uint64_t* base, const uint64_t* const* preds,
   LatticeCountsImpl<Avx512BlockOps>(base, preds, k, words, n, counts);
 }
 
+// Column equality scan: four 16-lane compares straight into mask
+// registers per 64 rows; the tail uses masked loads, so no scalar loop.
+void Avx512EqMask(const uint32_t* values, size_t n, uint32_t v,
+                  uint64_t* out) {
+  const __m512i needle = _mm512_set1_epi32(static_cast<int>(v));
+  for (size_t r0 = 0; r0 < n; r0 += 64) {
+    uint64_t word = 0;
+    for (size_t j = 0; j < 4; ++j) {
+      size_t r = r0 + 16 * j;
+      if (r >= n) break;
+      __mmask16 lanes = n - r >= 16
+                            ? __mmask16{0xFFFF}
+                            : static_cast<__mmask16>((1u << (n - r)) - 1);
+      __m512i x = _mm512_maskz_loadu_epi32(lanes, values + r);
+      uint64_t eq = _mm512_mask_cmpeq_epi32_mask(lanes, x, needle);
+      word |= eq << (16 * j);
+    }
+    out[r0 / 64] = word;
+  }
+}
+
 }  // namespace
 
 const Kernels* Avx512Kernels() {
   // Start from the AVX2 table (SSE4.2 array intersection and CRC32C) and
-  // override the word loops and the gathered membership test with 512-bit
-  // versions.
+  // override the word loops, the gathered membership test and the
+  // equality scan with 512-bit versions.
   static const Kernels kernels = [] {
     Kernels k = *Avx2Kernels();
     k.popcount_words = Avx512PopcountWords;
@@ -175,6 +196,7 @@ const Kernels* Avx512Kernels() {
     k.array_bitmap_count = Avx512ArrayBitmapCount;
     k.and3_count_words = Avx512And3CountWords;
     k.lattice_counts = Avx512LatticeCounts;
+    k.eq_mask = Avx512EqMask;
     return k;
   }();
   return &kernels;

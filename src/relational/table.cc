@@ -5,15 +5,15 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 
 namespace falcon {
 namespace {
 
-// Below this many rows the parallel kernels run inline: a 64k-row scan is
+// Below this many rows CountDiffCells runs inline: a 64k-row pass is
 // ~256KB of reads, cheaper than waking the pool.
 constexpr size_t kParallelRowGrain = size_t{1} << 16;
-constexpr size_t kParallelWordGrain = kParallelRowGrain / 64;
 
 }  // namespace
 
@@ -32,12 +32,21 @@ void Table::DetachColumn(size_t col) {
   columns_[col] = std::make_shared<Column>(*columns_[col]);
 }
 
+void Table::NoteAppend(size_t first_row) {
+  if (num_rows_ == first_row) return;
+  block_writes_.resize((num_rows_ + kRowsPerBlock - 1) / kRowsPerBlock, 0);
+  for (size_t b = first_row / kRowsPerBlock; b < block_writes_.size(); ++b) {
+    ++block_writes_[b];
+  }
+}
+
 void Table::AppendRow(const std::vector<std::string>& values) {
   FALCON_CHECK(values.size() == schema_.arity());
   for (size_t c = 0; c < values.size(); ++c) {
     MutableColumn(c).push_back(pool_->Intern(values[c]));
   }
   ++num_rows_;
+  NoteAppend(num_rows_ - 1);
 }
 
 void Table::AppendRow(std::span<const std::string_view> values) {
@@ -46,6 +55,7 @@ void Table::AppendRow(std::span<const std::string_view> values) {
     MutableColumn(c).push_back(pool_->Intern(values[c]));
   }
   ++num_rows_;
+  NoteAppend(num_rows_ - 1);
 }
 
 void Table::AppendRowIds(const std::vector<ValueId>& ids) {
@@ -54,6 +64,7 @@ void Table::AppendRowIds(const std::vector<ValueId>& ids) {
     MutableColumn(c).push_back(ids[c]);
   }
   ++num_rows_;
+  NoteAppend(num_rows_ - 1);
 }
 
 size_t Table::AppendBatch(const std::vector<std::vector<ValueId>>& chunk) {
@@ -66,6 +77,7 @@ size_t Table::AppendBatch(const std::vector<std::vector<ValueId>>& chunk) {
     col.insert(col.end(), chunk[c].begin(), chunk[c].end());
   }
   num_rows_ += batch;
+  NoteAppend(first_row);
   return first_row;
 }
 
@@ -83,31 +95,20 @@ void Table::SetCellText(size_t row, size_t col, std::string_view text) {
 
 RowSet Table::ScanEquals(size_t col, ValueId v) const {
   RowSet rows(num_rows_);
-  const ValueId* column = columns_[col]->data();
-  const size_t num_rows = num_rows_;
-  // Word-blocked, branch-free: each shard owns a disjoint word range, so the
-  // parallel result is bit-identical to the serial one.
-  ThreadPool::Global().ParallelFor(
-      rows.num_words(), kParallelWordGrain, [&](size_t wb, size_t we) {
-        for (size_t w = wb; w < we; ++w) {
-          size_t r0 = w * 64;
-          size_t r1 = std::min(r0 + 64, num_rows);
-          uint64_t word = 0;
-          for (size_t r = r0; r < r1; ++r) {
-            word |= uint64_t{column[r] == v} << (r - r0);
-          }
-          rows.SetWord(w, word);
-        }
-      });
+  simd::EqMask(columns_[col]->data(), num_rows_, v, rows.mutable_word_data());
   return rows;
 }
 
 RowSet Table::ScanConjunction(
     const std::vector<std::pair<size_t, ValueId>>& preds) const {
-  RowSet rows(num_rows_, /*fill=*/true);
-  if (preds.empty()) return rows;
-  for (const auto& [col, v] : preds) {
-    rows.And(ScanEquals(col, v));
+  if (preds.empty()) return RowSet(num_rows_, /*fill=*/true);
+  RowSet rows = ScanEquals(preds[0].first, preds[0].second);
+  RowSet scratch(num_rows_);
+  for (size_t i = 1; i < preds.size(); ++i) {
+    const auto& [col, v] = preds[i];
+    simd::EqMask(columns_[col]->data(), num_rows_, v,
+                 scratch.mutable_word_data());
+    rows.And(scratch);
   }
   return rows;
 }
@@ -132,6 +133,8 @@ size_t Table::DistinctCount(size_t col) const {
 Table Table::Clone() const {
   Table copy(name_, schema_, pool_);
   copy.columns_ = columns_;  // Shared until either side writes (COW).
+  copy.column_writes_ = column_writes_;
+  copy.block_writes_ = block_writes_;
   copy.num_rows_ = num_rows_;
   return copy;
 }

@@ -11,6 +11,11 @@
 // base held as `shared_ptr<const Table>` is never perturbed by its clones.
 // Reads of shared columns from many threads are safe; a Table object
 // itself (its mutating API) must be confined to one thread at a time.
+//
+// Every write also bumps two kinds of counters: one per column
+// (column_writes) and one per 64-row block across columns (block_writes).
+// A reader that keeps copies of some cells, like the CORDS profiler's
+// sample, compares them to know which columns and which rows to re-read.
 #ifndef FALCON_RELATIONAL_TABLE_H_
 #define FALCON_RELATIONAL_TABLE_H_
 
@@ -64,6 +69,7 @@ class Table {
 
   ValueId cell(size_t row, size_t col) const { return (*columns_[col])[row]; }
   void set_cell(size_t row, size_t col, ValueId v) {
+    ++block_writes_[row / kRowsPerBlock];
     MutableColumn(col)[row] = v;
   }
 
@@ -84,9 +90,20 @@ class Table {
   /// this object's mutating API (cell writes, appends, reserves), so a
   /// reader that kept a copy of some of the column's cells together with
   /// this value knows the copy is current while the value is unchanged.
-  /// The counter is per object: a Clone starts its own at zero, and
-  /// assigning another Table into this one is not a tracked write.
+  /// A Clone starts from the source's counters; assigning another Table
+  /// into this one is not a tracked write.
   uint64_t column_writes(size_t col) const { return column_writes_[col]; }
+
+  /// Rows per block of block_writes().
+  static constexpr size_t kRowsPerBlock = 64;
+
+  /// One write counter per 64-row block, across all columns: entry b grows
+  /// with every cell write to rows [64b, 64b + 64) and every append that
+  /// adds rows there. Together with column_writes() it tells a reader that
+  /// kept some of a column's cells which rows to re-read: only those in
+  /// blocks whose counter moved, and only if the column's counter moved.
+  /// Same ownership rules as column_writes().
+  std::span<const uint64_t> block_writes() const { return block_writes_; }
 
   /// Interns a value in this table's pool.
   ValueId Intern(std::string_view s) { return pool_->Intern(s); }
@@ -96,11 +113,12 @@ class Table {
   ValueId Lookup(std::string_view s) const { return pool_->Lookup(s); }
 
   /// Rows where column `col` equals `v` — a posting bitmap, O(num_rows).
-  /// Builds whole 64-bit words branch-free and shards across the global
-  /// thread pool on large tables.
+  /// One serial pass of the dispatched simd::EqMask kernel, which builds
+  /// whole 64-bit words from vector compares; it never forks.
   RowSet ScanEquals(size_t col, ValueId v) const;
 
-  /// Rows matching a conjunction of (col, value) equality predicates.
+  /// Rows matching a conjunction of (col, value) equality predicates: one
+  /// EqMask pass per predicate, ANDed into the result.
   RowSet ScanConjunction(
       const std::vector<std::pair<size_t, ValueId>>& preds) const;
 
@@ -137,12 +155,16 @@ class Table {
     return *columns_[col];
   }
   void DetachColumn(size_t col);
+  /// Bumps the block counters of rows [first_row, num_rows_) after an
+  /// append, growing block_writes_ to cover them.
+  void NoteAppend(size_t first_row);
 
   std::string name_;
   Schema schema_;
   std::shared_ptr<ValuePool> pool_;
   std::vector<std::shared_ptr<Column>> columns_;
   std::vector<uint64_t> column_writes_;  // See column_writes().
+  std::vector<uint64_t> block_writes_;   // See block_writes().
   size_t num_rows_ = 0;
 };
 

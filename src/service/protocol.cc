@@ -24,49 +24,13 @@ StatusOr<std::string> RequiredSession(const JsonValue& request) {
   return id;
 }
 
-/// Reads open_session's numeric fields into `params`: the one place they
-/// are checked. An absent field keeps its default; a present one must be a
-/// number. A negative budget would wrap to 2^64 - 1 as a size_t, and a
-/// mistake probability must be a finite value in [0, 1]. The scale's range
-/// is checked where the workload is built (MakeCleaningWorkload).
-Status ReadOpenNumbers(const JsonValue& request,
-                       SessionManager::OpenParams* params) {
-  for (const char* key : {"scale", "seed", "budget", "question_mistake_prob",
-                          "update_mistake_prob"}) {
-    const JsonValue* v = request.Find(key);
-    if (v != nullptr && !v->is_number()) {
-      return Status::InvalidArgument(std::string(key) + " must be a number");
-    }
-  }
-  params->scale = request.GetDouble("scale", params->scale);
-  params->seed = static_cast<uint64_t>(
-      request.GetInt("seed", static_cast<int64_t>(params->seed)));
-  if (const JsonValue* budget = request.Find("budget")) {
-    double b = budget->AsDouble();
-    if (!(b >= 0.0 && b < 0x1p63)) {
-      return Status::InvalidArgument("budget must be a non-negative integer");
-    }
-    params->budget = static_cast<size_t>(budget->AsInt());
-  }
-  for (auto [key, out] :
-       {std::pair{"question_mistake_prob", &params->question_mistake_prob},
-        std::pair{"update_mistake_prob", &params->update_mistake_prob}}) {
-    double p = request.GetDouble(key, *out);
-    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
-      return Status::InvalidArgument(std::string(key) +
-                                     " must be a finite value in [0, 1]");
-    }
-    *out = p;
-  }
-  return Status::Ok();
-}
-
-/// Reads the non-negative integer field `key` of a session verb (`row`,
-/// `col`, `repair`, `seq`, `episodes`): the one place those fields are
-/// checked. An absent field yields `absent`, or is an error when `absent`
-/// is empty. A present one must be a number holding an integer in
-/// [0, max]: a string, a fraction, a non-finite value or one out of range
-/// is refused, never rounded, truncated or replaced by a default.
+/// Reads the non-negative integer field `key` of a request (`row`, `col`,
+/// `repair`, `seq`, `episodes`, and open_session's `seed` and `budget`):
+/// the one place those fields are checked. An absent field yields
+/// `absent`, or is an error when `absent` is empty. A present one must be
+/// a number holding an integer in [0, max]: a string, a fraction, a
+/// non-finite value or one out of range is refused, never rounded,
+/// truncated or replaced by a default.
 StatusOr<uint64_t> ReadIndexField(const JsonValue& request, const char* key,
                                   uint64_t max,
                                   std::optional<uint64_t> absent) {
@@ -97,9 +61,45 @@ StatusOr<uint64_t> ReadIndexField(const JsonValue& request, const char* key,
   return static_cast<uint64_t>(d);
 }
 
-/// Largest value `seq`, `repair` and `episodes` may carry: what a JSON
-/// integer (int64) holds.
+/// Largest value `seq`, `repair`, `episodes`, `seed` and `budget` may
+/// carry: what a JSON integer (int64) holds.
 constexpr uint64_t kMaxIndex = std::numeric_limits<int64_t>::max();
+
+/// Reads open_session's numeric fields into `params`: the one place they
+/// are checked. An absent field keeps its default; a present one must be a
+/// number. `seed` and `budget` go through ReadIndexField, so a fraction, a
+/// negative value or one past int64 is refused rather than truncated or
+/// wrapped. A mistake probability must be a finite value in [0, 1]. The
+/// scale's range is checked where the workload is built
+/// (MakeCleaningWorkload).
+Status ReadOpenNumbers(const JsonValue& request,
+                       SessionManager::OpenParams* params) {
+  for (const char* key : {"scale", "question_mistake_prob",
+                          "update_mistake_prob"}) {
+    const JsonValue* v = request.Find(key);
+    if (v != nullptr && !v->is_number()) {
+      return Status::InvalidArgument(std::string(key) + " must be a number");
+    }
+  }
+  params->scale = request.GetDouble("scale", params->scale);
+  auto seed = ReadIndexField(request, "seed", kMaxIndex, params->seed);
+  if (!seed.ok()) return seed.status();
+  params->seed = *seed;
+  auto budget = ReadIndexField(request, "budget", kMaxIndex, params->budget);
+  if (!budget.ok()) return budget.status();
+  params->budget = static_cast<size_t>(*budget);
+  for (auto [key, out] :
+       {std::pair{"question_mistake_prob", &params->question_mistake_prob},
+        std::pair{"update_mistake_prob", &params->update_mistake_prob}}) {
+    double p = request.GetDouble(key, *out);
+    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+      return Status::InvalidArgument(std::string(key) +
+                                     " must be a finite value in [0, 1]");
+    }
+    *out = p;
+  }
+  return Status::Ok();
+}
 
 /// Optional idempotency sequence number (absent / 0 = legacy path).
 StatusOr<uint64_t> SeqField(const JsonValue& request) {

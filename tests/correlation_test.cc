@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/repair_log.h"
 #include "datagen/datasets.h"
 
 namespace falcon {
@@ -317,6 +319,144 @@ TEST(CordsProfilerTest, SampleSnapshotFollowsWritesAndAppends) {
 
 TEST(CordsProfilerTest, WholeTableSampleFollowsWritesAndAppends) {
   CheckProfilerFollowsTable(/*max_sample_rows=*/0, 4);
+}
+
+// Property test of the patched, grouped sample: a profiler over a table
+// with NULL cells and a key-like column C0 must score every fresh (X, B)
+// bit for bit as CorrelationScore does on the table as it is then, while
+// the table takes single-cell writes, multi-cell "queries" recorded in a
+// RepairLog and later undone, appended batches, and a hand-over to a Clone
+// that a new profiler picks up. Misses mix the grouped path (C1–C7 only)
+// and the row path (any miss with C0). Columns are coded in full about once
+// per drawn sample: a cell write is patched, never re-coded.
+TEST(CordsProfilerTest, PatchedGroupedSampleMatchesScoreBitForBit) {
+  const size_t kCols = 8;
+  const size_t kSample = 300;
+  std::vector<std::string> names;
+  for (size_t c = 0; c < kCols; ++c) names.push_back("C" + std::to_string(c));
+  for (uint64_t seed : {11, 12, 13}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto table = std::make_unique<Table>("t", Schema(names));
+    size_t next_key = 0;
+    // C0 is a row key; C1–C7 hold 2–7 values, C(c) partly copying C(c-1)
+    // so scores spread between 0 and 1; about 4% NULLs.
+    auto random_value = [&](Table& t, size_t c, ValueId left) -> ValueId {
+      if (c == 0) return t.Intern("k" + std::to_string(next_key++));
+      if (rng.NextBool(0.04)) return kNullValueId;
+      uint64_t v = rng.NextBool(0.5) ? left % (c + 1) : rng.NextUint(c + 1);
+      return t.Intern("v" + std::to_string(c) + "_" + std::to_string(v));
+    };
+    auto append_rows = [&](Table& t, size_t rows) {
+      std::vector<std::vector<ValueId>> chunk(kCols);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < kCols; ++c) {
+          chunk[c].push_back(
+              random_value(t, c, c > 0 ? chunk[c - 1].back() : 0));
+        }
+      }
+      t.AppendBatch(chunk);
+    };
+    append_rows(*table, 2000);
+
+    CorrelationOptions fd_on;
+    fd_on.max_sample_rows = kSample;
+    CorrelationOptions fd_off = fd_on;
+    fd_off.soft_fd_threshold = 1.01;
+    auto with_fds = std::make_unique<CordsProfiler>(table.get(), fd_on);
+    auto chi2_only = std::make_unique<CordsProfiler>(table.get(), fd_off);
+    size_t samples_drawn = 1;  // Samples the current profilers have seen.
+    size_t full_codes_before = 0;  // Of profilers already handed over.
+    size_t profilers = 1;
+
+    std::vector<std::pair<std::vector<size_t>, size_t>> keys;
+    for (size_t b = 0; b < kCols; ++b) {
+      for (uint32_t mask = 1; mask < (1u << kCols); ++mask) {
+        if ((mask >> b) & 1 || std::popcount(mask) > 3) continue;
+        std::vector<size_t> x;
+        for (size_t c = 0; c < kCols; ++c) {
+          if ((mask >> c) & 1) x.push_back(c);
+        }
+        keys.emplace_back(x, b);
+      }
+    }
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.NextUint(i)]);
+    }
+
+    RepairLog log;
+    size_t next = 0;  // Next unused key.
+    for (size_t step = 0; next + 2 <= keys.size(); ++step) {
+      Table& t = *table;
+      size_t n = t.num_rows();
+      double stride =
+          static_cast<double>(n) / static_cast<double>(kSample);
+      auto sampled_row = [&] {
+        return static_cast<size_t>(
+            static_cast<double>(rng.NextUint(kSample)) * stride);
+      };
+      uint64_t op = rng.NextUint(20);
+      if (op < 6) {
+        // One cell, half the time in a sampled row.
+        size_t row = rng.NextBool(0.5) ? sampled_row() : rng.NextUint(n);
+        size_t col = rng.NextUint(kCols);
+        t.set_cell(row, col,
+                   random_value(t, col, col > 0 ? t.cell(row, col - 1) : 0));
+      } else if (op < 12) {
+        // A query: one value written into every row of a random window
+        // whose left column holds a given value, recorded for undo.
+        size_t col = 1 + rng.NextUint(kCols - 1);
+        ValueId set = random_value(t, col, 0);
+        ValueId where = t.cell(rng.NextUint(n), col - 1);
+        size_t begin = rng.NextUint(n);
+        size_t end = std::min(n, begin + 1 + rng.NextUint(400));
+        std::vector<std::pair<uint32_t, ValueId>> before;
+        for (size_t r = begin; r < end; ++r) {
+          if (t.cell(r, col - 1) != where || t.cell(r, col) == set) continue;
+          before.emplace_back(static_cast<uint32_t>(r), t.cell(r, col));
+          t.set_cell(r, col, set);
+        }
+        log.Record(SqluQuery{}, col, std::move(before));
+      } else if (op < 16) {
+        // Undo a random repair, or the latest if the log refuses it.
+        if (log.size() > 0 && !log.Undo(rng.NextUint(log.size()), t).ok()) {
+          log.UndoLast(t);
+        }
+      } else if (op < 18) {
+        // An append re-samples; the log's rows stay valid.
+        append_rows(t, 1 + rng.NextUint(50));
+        ++samples_drawn;
+      } else {
+        // Hand the session over to a clone: the old table and profilers
+        // go away, new profilers start on the clone's counters.
+        full_codes_before += with_fds->full_codes();
+        EXPECT_LE(with_fds->full_codes(), kCols * samples_drawn);
+        auto clone = std::make_unique<Table>(t.Clone());
+        append_rows(t, 3);  // Writes to the source must not matter.
+        table = std::move(clone);
+        with_fds = std::make_unique<CordsProfiler>(table.get(), fd_on);
+        chi2_only = std::make_unique<CordsProfiler>(table.get(), fd_off);
+        samples_drawn = 1;
+        ++profilers;
+      }
+      SCOPED_TRACE("step " + std::to_string(step) + ", op " +
+                   std::to_string(op) + ", " +
+                   std::to_string(table->num_rows()) + " rows");
+      for (int miss = 0; miss < 2; ++miss, ++next) {
+        const auto& [x, b] = keys[next];
+        double got = x.size() == 1 ? with_fds->PairCorrelation(x[0], b)
+                                   : with_fds->SetCorrelation(x, b);
+        ASSERT_EQ(got, CorrelationScore(*table, x, b, fd_on));
+        ASSERT_EQ(chi2_only->SetCorrelation(x, b),
+                  CorrelationScore(*table, x, b, fd_off));
+      }
+    }
+    EXPECT_LE(with_fds->full_codes(), kCols * samples_drawn);
+    // Without patching, every write between two misses would re-code its
+    // column: hundreds of codes per profiler, not ~kCols per sample.
+    size_t total = full_codes_before + with_fds->full_codes();
+    EXPECT_GE(total, kCols * profilers);
+  }
 }
 
 TEST(CorrelationTest, SamplingStaysClose) {

@@ -258,7 +258,8 @@ TEST(ProtocolTest, OpenSessionRejectsOutOfRangeScale) {
 }
 
 // open_session's numeric fields are checked in one place before anything
-// is built: a negative budget (it would wrap to 2^64 - 1), a mistake
+// is built: a negative budget (it would wrap to 2^64 - 1), a fractional,
+// negative or out-of-range seed or budget (never truncated), a mistake
 // probability that is not finite or outside [0, 1], and a non-number in a
 // numeric field are refused with no session opened and no base cached.
 TEST(ProtocolTest, OpenSessionRejectsInvalidNumericFields) {
@@ -270,7 +271,11 @@ TEST(ProtocolTest, OpenSessionRejectsInvalidNumericFields) {
       {"budget", JsonValue(-0.5)},
       {"budget", JsonValue(kNan)},
       {"budget", JsonValue("3")},
+      {"budget", JsonValue(2.5)},
       {"seed", JsonValue("7")},
+      {"seed", JsonValue(1e300)},
+      {"seed", JsonValue(int64_t{-3})},
+      {"seed", JsonValue(-3.0)},
       {"scale", JsonValue(true)},
   };
   for (const char* prob : {"question_mistake_prob", "update_mistake_prob"}) {

@@ -257,6 +257,48 @@ TEST(SimdKernelTest, Crc32cMatchesScalarAcrossTiers) {
   }
 }
 
+// eq_mask against a plain per-row reference (scalar tier included) and
+// every vector tier against scalar: lengths 0, 1 (a 1-row table) and every
+// length around the 8-lane, 16-lane and 64-row strides, so each tail shape
+// appears; values drawn from a small domain so words hold a mix of hits.
+// Output words are pre-filled with garbage, and the one past the last
+// must stay untouched.
+TEST(SimdKernelTest, EqMaskMatchesScalarAcrossTiersAndTails) {
+  const Kernels* scalar = simd::TableFor(Level::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  std::vector<std::pair<Level, const Kernels*>> tiers = {
+      {Level::kScalar, scalar}};
+  for (Level level : VectorTiers()) {
+    tiers.emplace_back(level, simd::TableFor(level));
+  }
+  std::mt19937_64 rng(4242);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 200; ++n) lengths.push_back(n);
+  for (size_t n : {255, 256, 257, 1000, 4097}) lengths.push_back(n);
+  const uint64_t kGarbage = 0xA5A5A5A5A5A5A5A5ull;
+  for (size_t n : lengths) {
+    std::vector<uint32_t> values(n);
+    for (uint32_t& v : values) v = static_cast<uint32_t>(rng() % 5);
+    // Values on the lane boundaries of a u32 compare too.
+    if (n > 3) values[n - 1] = 0xFFFFFFFFu;
+    for (uint32_t needle : {0u, 1u, 4u, 7u, 0xFFFFFFFFu}) {
+      size_t words = (n + 63) / 64;
+      std::vector<uint64_t> want(words, 0);
+      for (size_t r = 0; r < n; ++r) {
+        if (values[r] == needle) want[r / 64] |= uint64_t{1} << (r % 64);
+      }
+      for (const auto& [level, k] : tiers) {
+        std::vector<uint64_t> got(words + 1, kGarbage);
+        k->eq_mask(values.data(), n, needle, got.data());
+        EXPECT_EQ(got[words], kGarbage) << simd::LevelName(level);
+        got.pop_back();
+        EXPECT_EQ(got, want) << simd::LevelName(level) << " n=" << n
+                             << " needle=" << needle;
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, ActiveLevelClampsAndParses) {
   Level detected = simd::DetectLevel();
   // Forcing any valid tier succeeds; unsupported tiers clamp instead of
