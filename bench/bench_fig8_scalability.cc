@@ -407,10 +407,10 @@ int main(int argc, char** argv) {
       bool identical = true;
       double serial_ms = 0.0, parallel_ms = 0.0;
       JsonValue threads_json = JsonValue::Array();
-      // Compressed storage (the session default): at 10M rows a fully
-      // built dense column set costs gigabytes; the parallel-vs-serial
-      // identity claim is representation-independent (locked in by
-      // PostingBuildTest.CompressedBuildIsBitIdentical).
+      // Sparse postings as row-id arrays (the session default): at 10M
+      // rows a fully built all-dense column set costs gigabytes; the
+      // parallel-vs-serial identity claim is form-independent (locked in
+      // by PostingBuildTest.CompressedBuildIsBitIdentical).
       PostingIndexOptions posting_opts;
       posting_opts.compressed = true;
       for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {

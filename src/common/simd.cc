@@ -11,7 +11,6 @@
 #include <bit>
 #include <cstdlib>
 #include <string>
-#include <utility>
 
 #include "common/flags.h"
 #include "common/logging.h"
@@ -58,90 +57,6 @@ size_t ScalarAnd3CountWords(uint64_t* dst, const uint64_t* a,
     uint64_t w = a[i] & b[i];
     dst[i] = w;
     count += std::popcount(w);
-  }
-  return count;
-}
-
-// Galloping intersection: binary-probe the large side for each element of
-// the small side. Shared by all tiers for heavily skewed inputs.
-template <bool kMaterialize>
-size_t GallopIntersect(const uint16_t* small, size_t ns,
-                       const uint16_t* large, size_t nl, uint16_t* out) {
-  size_t count = 0;
-  size_t lo = 0;
-  for (size_t i = 0; i < ns && lo < nl; ++i) {
-    uint16_t v = small[i];
-    // Exponential probe then binary search within the bracketed range.
-    size_t step = 1;
-    size_t hi = lo;
-    while (hi < nl && large[hi] < v) {
-      lo = hi;
-      hi += step;
-      step <<= 1;
-    }
-    if (hi > nl) hi = nl;
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (large[mid] < v) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < nl && large[lo] == v) {
-      if constexpr (kMaterialize) out[count] = v;
-      ++count;
-      ++lo;
-    }
-  }
-  return count;
-}
-
-template <bool kMaterialize>
-size_t ScalarIntersectImpl(const uint16_t* a, size_t na, const uint16_t* b,
-                           size_t nb, uint16_t* out) {
-  if (na == 0 || nb == 0) return 0;
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  if (nb / na >= kGallopRatioScalar) {
-    return GallopIntersect<kMaterialize>(a, na, b, nb, out);
-  }
-  size_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    uint16_t va = a[i], vb = b[j];
-    if (va == vb) {
-      if constexpr (kMaterialize) out[count] = va;
-      ++count;
-      ++i;
-      ++j;
-    } else if (va < vb) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return count;
-}
-
-size_t ScalarIntersectU16(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out) {
-  return ScalarIntersectImpl<true>(a, na, b, nb, out);
-}
-
-size_t ScalarIntersectU16Count(const uint16_t* a, size_t na,
-                               const uint16_t* b, size_t nb) {
-  return ScalarIntersectImpl<false>(a, na, b, nb, nullptr);
-}
-
-size_t ScalarArrayBitmapCount(const uint16_t* vals, size_t n,
-                              const uint64_t* bits) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint16_t v = vals[i];
-    count += (bits[v >> 6] >> (v & 63)) & 1;
   }
   return count;
 }
@@ -202,8 +117,7 @@ void ScalarEqMask(const uint32_t* values, size_t n, uint32_t v,
 
 constexpr Kernels kScalarKernels = {
     ScalarPopcountWords,   ScalarAndCountWords,    ScalarAndWords,
-    ScalarAndNotWords,     ScalarOrWords,          ScalarIntersectU16,
-    ScalarIntersectU16Count, ScalarArrayBitmapCount, ScalarAnd3CountWords,
+    ScalarAndNotWords,     ScalarOrWords,          ScalarAnd3CountWords,
     ScalarCrc32cExtend,    ScalarLatticeCounts,    ScalarEqMask,
 };
 

@@ -1,11 +1,9 @@
-// Runtime-dispatched SIMD kernels for the container primitives that
-// dominate the lattice/posting hot path: bitmap word loops (AND / ANDNOT /
-// OR / popcount / fused and-count), the blocked count of every lattice
-// node, sorted-u16 array intersection (the Roaring array-container
-// kernel), array-against-bitmap membership counting and the column
-// equality scan behind every posting miss — plus CRC32C, which hashes the
-// whole table on every service response (SSE4.2 `crc32` in the vector
-// tiers). Three tiers are compiled
+// Runtime-dispatched SIMD kernels for the bitmap primitives that dominate
+// the lattice/posting hot path: word loops (AND / ANDNOT / OR / popcount /
+// fused and-count), the blocked count of every lattice node and the
+// column equality scan behind every posting miss — plus CRC32C, which
+// hashes the whole table on every service response (SSE4.2 `crc32` in the
+// vector tiers). Three tiers are compiled
 // — portable scalar, AVX2, and AVX-512 (with VPOPCNTDQ) — each in its own
 // translation unit with the matching -m flags, and the best tier the CPU
 // supports is selected once via CPUID on first use. The active tier can be
@@ -38,7 +36,7 @@ enum class Level : uint8_t {
   kAVX512 = 2,
 };
 
-/// Dispatch table of container primitives. One instance per compiled tier;
+/// Dispatch table of bitmap primitives. One instance per compiled tier;
 /// entries are never null in a published table.
 struct Kernels {
   /// Population count over n words.
@@ -51,20 +49,6 @@ struct Kernels {
   void (*andnot_words)(uint64_t* dst, const uint64_t* src, size_t n);
   /// dst |= src over n words.
   void (*or_words)(uint64_t* dst, const uint64_t* src, size_t n);
-  /// Intersection of two sorted unique u16 arrays into out (out may not
-  /// alias either input); returns the intersection size. `out` must have
-  /// capacity for min(na, nb) + kIntersectSlack elements: the vector tiers
-  /// compact matches with full 128-bit stores, so the bytes just past the
-  /// returned count are scratch.
-  size_t (*intersect_u16)(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out);
-  /// Cardinality-only variant of intersect_u16.
-  size_t (*intersect_u16_count)(const uint16_t* a, size_t na,
-                                const uint16_t* b, size_t nb);
-  /// Number of vals present in the 1024-word bitmap `bits` (vals sorted
-  /// unique u16; bits spans the full 65536-row chunk).
-  size_t (*array_bitmap_count)(const uint16_t* vals, size_t n,
-                               const uint64_t* bits);
   /// dst[i] = a[i] & b[i] with the popcount of the result accumulated in
   /// registers; returns the count. One pass over two read streams and one
   /// write stream — replaces the copy-then-And-then-popcount sequence
@@ -132,7 +116,7 @@ void ApplyLevelFlag(const Flags& flags);
 
 // ---------------------------------------------------------------------------
 // Hot-path wrappers. One indirect call through the table; the word-loop
-// kernels amortize it over whole containers.
+// kernels amortize it over whole bitmaps.
 // ---------------------------------------------------------------------------
 
 inline size_t PopcountWords(const uint64_t* w, size_t n) {
@@ -155,21 +139,6 @@ inline void OrWords(uint64_t* dst, const uint64_t* src, size_t n) {
   Active().or_words(dst, src, n);
 }
 
-inline size_t IntersectU16(const uint16_t* a, size_t na, const uint16_t* b,
-                           size_t nb, uint16_t* out) {
-  return Active().intersect_u16(a, na, b, nb, out);
-}
-
-inline size_t IntersectU16Count(const uint16_t* a, size_t na,
-                                const uint16_t* b, size_t nb) {
-  return Active().intersect_u16_count(a, na, b, nb);
-}
-
-inline size_t ArrayBitmapCount(const uint16_t* vals, size_t n,
-                               const uint64_t* bits) {
-  return Active().array_bitmap_count(vals, n, bits);
-}
-
 inline size_t And3CountWords(uint64_t* dst, const uint64_t* a,
                              const uint64_t* b, size_t n) {
   return Active().and3_count_words(dst, a, b, n);
@@ -185,24 +154,6 @@ inline void EqMask(const uint32_t* values, size_t n, uint32_t v,
                    uint64_t* out) {
   Active().eq_mask(values, n, v, out);
 }
-
-// ---------------------------------------------------------------------------
-// Tuning constants shared by all tiers (measured on the dev box — see
-// DESIGN.md "SIMD dispatch" for the methodology).
-// ---------------------------------------------------------------------------
-
-/// Array∩array switches from the element-wise kernel to galloping (binary
-/// probes of the large side) when |large|/|small| reaches these ratios.
-/// The vector merge kernel consumes 8 elements per step, so it stays
-/// competitive with log2(|large|) probes to much larger skews than the
-/// scalar merge does — hence a higher crossover for the SIMD tiers.
-inline constexpr size_t kGallopRatioScalar = 32;
-inline constexpr size_t kGallopRatioSimd = 64;
-
-/// Extra capacity intersect_u16 callers must reserve past min(na, nb): the
-/// SSE compaction stores a whole 8-lane vector at out + count, so the last
-/// store can overrun the true intersection size by up to 7 elements.
-inline constexpr size_t kIntersectSlack = 8;
 
 namespace internal {
 

@@ -1,11 +1,9 @@
 // AVX-512 kernel tier: 512-bit word loops with the VPOPCNTDQ instruction
-// (8 per-lane 64-bit popcounts per cycle-ish step) and an 8-wide gathered
-// array∩bitmap membership test using mask registers. Compiled with
-// -mavx512f -mavx512bw -mavx512vl -mavx512vpopcntdq; only executed when
-// CPUID reports all four (DetectLevel() == kAVX512). The sorted-array
-// intersection reuses the SSE4.2 kernel from the AVX2 tier — 128-bit
-// PCMPESTRM has no 512-bit counterpart worth the lane-crossing cost at
-// array-container sizes (≤4096 elements).
+// (8 per-lane 64-bit popcounts per cycle-ish step), 512-row lattice-count
+// blocks and a mask-register equality scan. Compiled with -mavx512f
+// -mavx512bw -mavx512vl -mavx512vpopcntdq; only executed when CPUID
+// reports all four (DetectLevel() == kAVX512). CRC32C reuses the SSE4.2
+// kernel of the AVX2 tier.
 #include "common/simd.h"
 
 // Self-gating on the predefine set by -mavx512vpopcntdq (only added when
@@ -110,36 +108,6 @@ void Avx512OrWords(uint64_t* dst, const uint64_t* src, size_t n) {
   for (; i < n; ++i) dst[i] |= src[i];
 }
 
-size_t Avx512ArrayBitmapCount(const uint16_t* vals, size_t n,
-                              const uint64_t* bits) {
-  // Gather eight words per step, build 1<<(v&63) per lane, and let the
-  // mask register do the membership test: one popcount per 8 values.
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i six3 = _mm512_set1_epi64(63);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m128i v16 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + i));
-    __m256i v32 = _mm256_cvtepu16_epi32(v16);
-    __m256i word_idx = _mm256_srli_epi32(v32, 6);
-    // Masked forms with an explicit zero source: the plain intrinsics go
-    // through _mm512_undefined_epi32 and trip -Wmaybe-uninitialized.
-    __m512i words = _mm512_mask_i32gather_epi64(_mm512_setzero_si512(),
-                                                static_cast<__mmask8>(0xFF),
-                                                word_idx, bits, 8);
-    __m512i shifts = _mm512_and_si512(
-        _mm512_maskz_cvtepu32_epi64(static_cast<__mmask8>(0xFF), v32), six3);
-    __m512i sel = _mm512_sllv_epi64(one, shifts);
-    __mmask8 hit = _mm512_test_epi64_mask(words, sel);
-    count += static_cast<size_t>(_mm_popcnt_u32(hit));
-  }
-  for (; i < n; ++i) {
-    uint16_t v = vals[i];
-    count += (bits[v >> 6] >> (v & 63)) & 1;
-  }
-  return count;
-}
-
 // Lattice counts: 512-row blocks, a mask-register zero test and one
 // VPOPCNTDQ per visited node.
 struct Avx512BlockOps {
@@ -183,9 +151,9 @@ void Avx512EqMask(const uint32_t* values, size_t n, uint32_t v,
 }  // namespace
 
 const Kernels* Avx512Kernels() {
-  // Start from the AVX2 table (SSE4.2 array intersection and CRC32C) and
-  // override the word loops, the gathered membership test and the
-  // equality scan with 512-bit versions.
+  // Start from the AVX2 table (SSE4.2 CRC32C) and override the word
+  // loops, the lattice counts and the equality scan with 512-bit
+  // versions.
   static const Kernels kernels = [] {
     Kernels k = *Avx2Kernels();
     k.popcount_words = Avx512PopcountWords;
@@ -193,7 +161,6 @@ const Kernels* Avx512Kernels() {
     k.and_words = Avx512AndWords;
     k.andnot_words = Avx512AndNotWords;
     k.or_words = Avx512OrWords;
-    k.array_bitmap_count = Avx512ArrayBitmapCount;
     k.and3_count_words = Avx512And3CountWords;
     k.lattice_counts = Avx512LatticeCounts;
     k.eq_mask = Avx512EqMask;

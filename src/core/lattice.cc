@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <utility>
 
 #include "common/fault_injector.h"
 #include "common/logging.h"
@@ -92,24 +93,51 @@ StatusOr<Lattice> Lattice::Build(const Table& table, const Repair& repair,
 }
 
 void Lattice::InitBottomAndPreds(const Table& table) {
-  // Posting bitmaps come from the posting cache when one was supplied,
-  // copied out dense (the cache may store them compressed); stored by
-  // value, since posting references can be invalidated or evicted while
-  // the lattice is alive, and ApplyNode must maintain these bitmaps
-  // independently anyway to keep the counts exact after repairs.
-  auto posting = [&](size_t col, ValueId v) {
-    return index_ != nullptr ? index_->Postings(col, v).ToDense()
-                             : table.ScanEquals(col, v);
-  };
+  table_ = &table;
+  const size_t k = cols_.size();
+  preds_.owned.assign(k, RowSet());
+  preds_.bits.assign(k, nullptr);
+  preds_.writes.assign(k, 0);
+  if (index_ == nullptr) {
+    // The reference path: every bitmap is a scan the lattice owns.
+    affected_[0] = table.ScanEquals(repair_.col, target_value_).Complement();
+    for (size_t i = 0; i < k; ++i) {
+      preds_.owned[i] = table.ScanEquals(cols_[i], bindings_[i]);
+      preds_.bits[i] = &preds_.owned[i];
+    }
+    return;
+  }
   // Bottom node: rows whose target value differs from a' (rows any
   // candidate query could change) — the complement of the target value's
-  // posting bitmap, so a cached posting makes this scan-free.
-  affected_[0] = posting(repair_.col, target_value_).Complement();
-  // Per-attribute predicate bitmaps for the bound predicate constants.
-  preds_.clear();
-  preds_.reserve(cols_.size());
+  // posting, so a cached posting makes this scan-free. ApplyNode
+  // maintains it, so it is always owned.
+  const Posting& target = index_->Postings(repair_.col, target_value_);
+  if (target.dense()) {
+    affected_[0] = target.bits().Complement();
+  } else {
+    RowSet bottom(num_table_rows_, /*fill=*/true);
+    for (uint32_t r : target.ids()) bottom.Clear(r);
+    affected_[0] = std::move(bottom);
+  }
+  // Predicates: a dense posting of another column is read in place; an
+  // array posting, or any posting of the repaired column (ApplyNode
+  // maintains those predicates), becomes a bitmap the lattice owns.
+  for (size_t i = 0; i < k; ++i) {
+    const Posting& p = index_->Postings(cols_[i], bindings_[i]);
+    if (p.dense() && cols_[i] != repair_.col) {
+      preds_.bits[i] = &p.bits();
+      preds_.writes[i] = table.column_writes(cols_[i]);
+    } else {
+      preds_.owned[i] = p.ToRowSet(num_table_rows_);
+      preds_.bits[i] = &preds_.owned[i];
+    }
+  }
+}
+
+void Lattice::CheckBorrowed() const {
   for (size_t i = 0; i < cols_.size(); ++i) {
-    preds_.push_back(posting(cols_[i], bindings_[i]));
+    FALCON_DCHECK(!preds_.borrowed(i) ||
+                  table_->column_writes(cols_[i]) == preds_.writes[i]);
   }
 }
 
@@ -157,6 +185,7 @@ void Lattice::FinishEagerInit() {
 void Lattice::KernelCounts(const RowSet& base,
                            const std::vector<uint32_t>* words,
                            size_t* out) const {
+  CheckBorrowed();
   std::array<const uint64_t*, kMaxLatticeAttrs> preds;
   for (size_t i = 0; i < cols_.size(); ++i) preds[i] = preds_[i].word_data();
   simd::LatticeCounts(base.word_data(), preds.data(), cols_.size(),
@@ -167,6 +196,7 @@ void Lattice::KernelCounts(const RowSet& base,
 
 const RowSet& Lattice::AffectedRows(NodeId n) const {
   if (materialized(n)) return affected_[n];
+  CheckBorrowed();
   // Start from the resident subset of n with the most attributes (the
   // bottom at worst) and AND in the predicates it lacks: n's own bitmap is
   // the only one built.
@@ -214,6 +244,7 @@ void Lattice::MarkInvalid(NodeId n) {
 }
 
 RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
+  CheckBorrowed();
   // A copy: maintenance below clears the node's own set, and the caller
   // gets the changed rows back.
   RowSet changed = AffectedRows(n);
@@ -287,10 +318,11 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
   // built after the write exact.
   for (size_t i = 0; i < cols_.size(); ++i) {
     if (cols_[i] != repair_.col) continue;
+    FALCON_DCHECK(!preds_.borrowed(i));
     if (bindings_[i] == target_value_) {
-      preds_[i].Or(changed);
+      preds_.owned[i].Or(changed);
     } else {
-      preds_[i].AndNotCountAt(changed, touched);
+      preds_.owned[i].AndNotCountAt(changed, touched);
     }
   }
 

@@ -11,7 +11,8 @@
 // tracks validity state with the paper's inference rules.
 //
 // Build computes only the bottom node's bitmap and the per-attribute
-// predicate bitmaps. The first Count runs one blocked kernel
+// predicate bitmaps; a predicate whose posting the index stores dense is
+// read in place. The first Count runs one blocked kernel
 // (simd::LatticeCounts) that counts all 2^k nodes at once,
 //
 //     |affected(m)| = popcount(bottom ∧ ∧_{i∈m} pred(i)),
@@ -69,11 +70,13 @@ struct LatticeOptions {
   /// eager materialization.
   bool naive_init = false;
   /// Optional posting cache for predicate bitmaps (non-owning). Ignored by
-  /// naive_init. Each posting the lattice uses is copied dense once per
-  /// build, whatever the index's storage. When the index runs in
-  /// delta-maintenance mode, ApplyNode
-  /// patches its bitmaps in place (see maintain_index); otherwise the
-  /// caller must invalidate updated columns.
+  /// naive_init. A dense posting of a column other than the repaired one
+  /// is read in place (borrowed) for the lattice's lifetime, so no column
+  /// it borrows may be written while the lattice is in use; array
+  /// postings are scattered into bitmaps the lattice owns. When the index
+  /// runs in delta-maintenance mode, ApplyNode patches its postings in
+  /// place (see maintain_index); otherwise the caller must invalidate
+  /// updated columns.
   PostingIndex* index = nullptr;
   /// Keep the posting index exact across ApplyNode by reporting each
   /// query's writes as deltas (only meaningful when the index is in
@@ -126,6 +129,10 @@ class Lattice {
 
   /// Posting cache supplied at Build time (may be null).
   PostingIndex* index() const { return index_; }
+
+  /// True iff attribute `i`'s predicate reads the index's dense posting in
+  /// place instead of a bitmap the lattice owns.
+  bool pred_borrowed(size_t i) const { return preds_.borrowed(i); }
 
   /// The repair this lattice generalizes.
   const Repair& repair() const { return repair_; }
@@ -238,7 +245,9 @@ class Lattice {
   Lattice() = default;
 
   /// Fills affected_[bottom] and the per-attribute predicate bitmaps
-  /// preds_ (from the posting index when present, else column scans).
+  /// preds_: from the posting index when present (dense postings of
+  /// non-repaired columns borrowed, the rest owned copies), else owned
+  /// column scans.
   void InitBottomAndPreds(const Table& table);
   /// Eager view rewriting: materializes every node bottom-up (one AND per
   /// node off the lowest-set-bit parent).
@@ -264,12 +273,53 @@ class Lattice {
   bool maintain_index_ = true;
   bool lazy_ = true;
 
-  /// Per-attribute predicate bitmaps (value copies — posting references
-  /// can be invalidated/evicted under the lattice). ApplyNode maintains
-  /// them exactly, which keeps the counts and every bitmap built *after*
-  /// repairs correct. Always dense: compressed postings are copied out
-  /// dense once per build.
-  std::vector<RowSet> preds_;
+  /// Per-attribute predicate bitmaps. Attribute i reads either a bitmap
+  /// the lattice owns or, borrowed, the dense posting the index holds for
+  /// (cols_[i], bindings_[i]). Borrowing is limited to columns other than
+  /// the repaired one: within an episode only the repaired column's
+  /// postings change, and the session trims the index only after the
+  /// lattice is gone. The predicates over the repaired column stay owned
+  /// because ApplyNode maintains them, which keeps the counts and every
+  /// bitmap built after repairs exact. A copy of the lattice re-points its
+  /// owned predicates at its own bitmaps.
+  struct Predicates {
+    std::vector<RowSet> owned;        // Attribute i's bitmap when owned.
+    std::vector<const RowSet*> bits;  // Attribute i's bitmap, either way.
+    /// Table::column_writes of each borrowed column when it was borrowed.
+    std::vector<uint64_t> writes;
+
+    Predicates() = default;
+    Predicates(const Predicates& other)
+        : owned(other.owned), bits(other.bits), writes(other.writes) {
+      Repoint(other);
+    }
+    Predicates& operator=(const Predicates& other) {
+      owned = other.owned;
+      bits = other.bits;
+      writes = other.writes;
+      Repoint(other);
+      return *this;
+    }
+    Predicates(Predicates&&) = default;
+    Predicates& operator=(Predicates&&) = default;
+
+    bool borrowed(size_t i) const { return bits[i] != &owned[i]; }
+    const RowSet& operator[](size_t i) const { return *bits[i]; }
+
+   private:
+    void Repoint(const Predicates& other) {
+      for (size_t i = 0; i < bits.size(); ++i) {
+        if (!other.borrowed(i)) bits[i] = &owned[i];
+      }
+    }
+  };
+  Predicates preds_;
+  /// The table the lattice was built over; read only to check that no
+  /// borrowed column was written (FALCON_DCHECK).
+  const Table* table_ = nullptr;
+  /// Dies (debug builds) if a borrowed predicate's column was written
+  /// since it was borrowed.
+  void CheckBorrowed() const;
 
   // Mutable because counting and materialization are memoization: const
   // accessors (oracles, tests) observe identical values whether or not the

@@ -70,17 +70,13 @@ Status CleaningSession::Start(bool fresh) {
   wrong_updated_.clear();
   append_ingest_ms_ = 0.0;
   finished_ = false;
-  // One column-major pass over both tables finds every dirty cell; sorted
-  // by (row, col), they are the row-major worklist order.
-  std::vector<uint64_t> dirty_cells;
-  for (size_t c = 0; c < dirty_->num_cols(); ++c) {
-    const std::vector<ValueId>& got = dirty_->column(c);
-    const std::vector<ValueId>& want = clean_->column(c);
-    for (size_t r = 0; r < got.size(); ++r) {
-      if (got[r] != want[r]) dirty_cells.push_back((uint64_t{r} << 32) | c);
-    }
-  }
-  std::sort(dirty_cells.begin(), dirty_cells.end());
+  // One blocked pass over both tables lists every dirty cell in (row, col)
+  // order, the row-major worklist order.
+  std::vector<std::pair<uint32_t, uint32_t>> dirty_cells;
+  dirty_->ForEachDiffCell(*clean_, [&](size_t r, size_t c) {
+    dirty_cells.emplace_back(static_cast<uint32_t>(r),
+                             static_cast<uint32_t>(c));
+  });
   metrics_.initial_errors = dirty_cells.size();
   max_updates_ = options_.max_updates != 0
                      ? options_.max_updates
@@ -98,10 +94,7 @@ Status CleaningSession::Start(bool fresh) {
   if (options_.detector_driven) {
     RefillFromDetector();
   } else {
-    for (uint64_t cell : dirty_cells) {
-      worklist_.emplace_back(static_cast<uint32_t>(cell >> 32),
-                             static_cast<uint32_t>(cell));
-    }
+    worklist_.assign(dirty_cells.begin(), dirty_cells.end());
   }
 
   // Profile once over the (initial) dirty instance, as the paper does.

@@ -58,7 +58,7 @@ struct SessionOptions {
   /// Cache predicate posting bitmaps across lattices.
   bool use_posting_index = true;
   /// Delta-maintain the cached postings across applied repairs (each write
-  /// patches the old/new value's bitmaps in place), so the cache survives
+  /// patches the old/new value's postings in place), so the cache survives
   /// the whole session. Off reverts to invalidate-and-rescan of the
   /// repaired column after every applied rule.
   bool posting_delta = true;
@@ -66,12 +66,12 @@ struct SessionOptions {
   /// are evicted between lattice episodes so million-row tables don't
   /// hoard memory.
   size_t posting_budget_bytes = 0;
-  /// Store postings in the density-adaptive compressed representation
-  /// (Roaring-style containers with exact byte accounting). Selects the
-  /// posting storage only: lattice nodes and predicate bitmaps are always
-  /// dense words. Bit-identical questions/answers/metrics/final tables to
-  /// dense postings — only resident bytes change, so far more of the
-  /// posting universe fits in posting_budget_bytes.
+  /// Store each sparse posting (count · 32 < rows) as a sorted row-id
+  /// array and the rest as dense bitmaps (PostingIndexOptions::compressed);
+  /// off stores every posting dense. Bit-identical questions/answers/
+  /// metrics/final tables either way — only resident bytes and the
+  /// lattice's copy cost change: dense postings are read in place, arrays
+  /// are scattered into a bitmap per build.
   bool compressed_rowsets = true;
   /// Remember validated/invalidated rule shapes across updates and bias
   /// CoDive toward historically fruitful attribute sets (the paper's §8
@@ -140,8 +140,8 @@ struct SessionMetrics {
   size_t posting_shared_misses = 0;
 
   // Posting storage at the end of the run (see PostingStorageStats).
-  size_t posting_entries = 0;         ///< Cached (column, value) bitmaps.
-  size_t posting_resident_bytes = 0;  ///< Exact heap bytes of cached bitmaps.
+  size_t posting_entries = 0;         ///< Cached (column, value) postings.
+  size_t posting_resident_bytes = 0;  ///< Payload bytes of cached postings.
   size_t posting_dense_bytes = 0;     ///< Dense-equivalent bytes of the same.
   double posting_compression = 1.0;   ///< dense/resident (>1 ⇒ winning).
 

@@ -381,6 +381,27 @@ double ScoreFromCounts(JointCounts& joint, const CorrelationOptions& options) {
   return std::clamp(score, 0.0, 1.0);
 }
 
+// Whether `col` is key-like: distinct / rows > threshold. The ratio grows
+// with the distinct count, so the test is the same as the count exceeding
+// the largest count that is not key-like, and DistinctCount stops as soon
+// as that is settled.
+bool KeyLike(const Table& table, size_t col, double threshold) {
+  const size_t n = table.num_rows();
+  if (n == 0) return 0.0 > threshold;
+  auto ratio = [n](size_t d) {
+    return static_cast<double>(d) / static_cast<double>(n);
+  };
+  if (ratio(0) > threshold) return true;
+  if (ratio(n) <= threshold) return false;
+  // ratio(bound) ≤ threshold < ratio(bound + 1), with bound < n.
+  auto bound = static_cast<size_t>(
+      std::clamp(threshold * static_cast<double>(n), 0.0,
+                 static_cast<double>(n - 1)));
+  while (ratio(bound) > threshold) --bound;
+  while (ratio(bound + 1) <= threshold) ++bound;
+  return table.DistinctCount(col, bound) > bound;
+}
+
 }  // namespace
 
 // The profiler's sample state (see CordsProfiler), plus the scratch its
@@ -630,20 +651,16 @@ double CordsProfiler::SetCorrelation(const std::vector<size_t>& x_cols,
 }
 
 std::vector<size_t> CordsProfiler::TopKAttributes(size_t target, size_t k) {
-  if (distinct_ratio_.empty()) {
-    distinct_ratio_.resize(table_->num_cols());
+  if (key_like_.empty()) {
+    key_like_.resize(table_->num_cols());
     for (size_t c = 0; c < table_->num_cols(); ++c) {
-      distinct_ratio_[c] =
-          table_->num_rows() == 0
-              ? 0.0
-              : static_cast<double>(table_->DistinctCount(c)) /
-                    static_cast<double>(table_->num_rows());
+      key_like_[c] = KeyLike(*table_, c, options_.key_ratio_threshold);
     }
   }
   std::vector<std::pair<double, size_t>> scored;
   for (size_t c = 0; c < table_->num_cols(); ++c) {
     if (c == target) continue;
-    if (distinct_ratio_[c] > options_.key_ratio_threshold) continue;
+    if (key_like_[c]) continue;
     scored.emplace_back(PairCorrelation(c, target), c);
   }
   std::stable_sort(scored.begin(), scored.end(),

@@ -99,6 +99,8 @@ class CordsProfiler {
 
   /// The k attributes most correlated with `target` (by pairwise score,
   /// descending; `target` itself excluded). Ties break by column order.
+  /// Key-like columns (distinct ratio over the whole table above
+  /// key_ratio_threshold, decided on the first call) are never picked.
   std::vector<size_t> TopKAttributes(size_t target, size_t k);
 
   const CorrelationOptions& options() const { return options_; }
@@ -114,7 +116,7 @@ class CordsProfiler {
 
   const Table* table_;
   CorrelationOptions options_;
-  std::vector<double> distinct_ratio_;  // Lazily computed key detector.
+  std::vector<bool> key_like_;  // Lazily computed key detector.
   std::map<std::pair<size_t, size_t>, double> pair_cache_;
   std::map<std::pair<std::vector<size_t>, size_t>, double> set_cache_;
   std::unique_ptr<CordsSample> sample_;  // Sample state and scratch.

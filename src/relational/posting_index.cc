@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -24,13 +25,50 @@ PostingIndex::Timer::Timer(double* sink) : sink_(sink), start_ms_(NowMs()) {}
 
 PostingIndex::Timer::~Timer() { *sink_ += NowMs() - start_ms_; }
 
+RowSet Posting::ToRowSet(size_t rows) const {
+  if (dense_) {
+    FALCON_DCHECK(bits_.universe_size() == rows);
+    return bits_;
+  }
+  RowSet out(rows);
+  for (uint32_t r : ids_) out.Set(r);
+  return out;
+}
+
+Posting PostingIndex::MakePosting(RowSet rows) const {
+  Posting p;
+  size_t count = rows.Count();
+  p.dense_ = StoresDense(count);
+  if (p.dense_) {
+    p.dense_count_ = count;
+    p.bits_ = std::move(rows);
+  } else {
+    p.ids_.reserve(count);
+    rows.ForEach([&](size_t r) { p.ids_.push_back(static_cast<uint32_t>(r)); });
+  }
+  return p;
+}
+
+Posting PostingIndex::MakePosting(std::span<const uint32_t> ids) const {
+  Posting p;
+  p.dense_ = StoresDense(ids.size());
+  if (p.dense_) {
+    p.dense_count_ = ids.size();
+    p.bits_ = RowSet(table_->num_rows());
+    for (uint32_t r : ids) p.bits_.Set(r);
+  } else {
+    p.ids_.assign(ids.begin(), ids.end());
+  }
+  return p;
+}
+
 PostingIndex::Entry& PostingIndex::Insert(size_t col, ValueId v,
-                                          HybridRowSet rows) {
+                                          Posting posting) {
   lru_.push_front(Key{col, v});
   Entry& e = cache_[col][v];
-  e.rows = std::move(rows);
+  e.posting = std::move(posting);
   e.lru_it = lru_.begin();
-  e.bytes = EntryBytes(e.rows);
+  e.bytes = e.posting.PayloadBytes() + kEntryOverheadBytes;
   bytes_ += e.bytes;
   return e;
 }
@@ -41,42 +79,101 @@ void PostingIndex::EraseEntry(size_t col, ColumnCache::iterator it) {
   cache_[col].erase(it);
 }
 
-void PostingIndex::ReaccountTouched(std::vector<Entry*>& touched) {
-  for (Entry* e : touched) {
-    size_t now = EntryBytes(e->rows);
-    bytes_ += now;
-    bytes_ -= e->bytes;
-    e->bytes = now;
-    e->dirty = false;
+void PostingIndex::Refresh(Entry& e) {
+  Posting& p = e.posting;
+  size_t count = p.Count();
+  bool dense = StoresDense(count);
+  if (dense && !p.dense_) {
+    p.bits_ = RowSet(table_->num_rows());
+    for (uint32_t r : p.ids_) p.bits_.Set(r);
+    p.dense_count_ = count;
+    std::vector<uint32_t>().swap(p.ids_);
+  } else if (!dense && p.dense_) {
+    p.ids_.reserve(count);
+    p.bits_.ForEach(
+        [&](size_t r) { p.ids_.push_back(static_cast<uint32_t>(r)); });
+    p.bits_ = RowSet();
+  }
+  p.dense_ = dense;
+  size_t now = p.PayloadBytes() + kEntryOverheadBytes;
+  bytes_ += now;
+  bytes_ -= e.bytes;
+  e.bytes = now;
+}
+
+void PostingIndex::ApplyMoves(Entry* new_entry) {
+  // Group the leaving rows by entry; the sort is stable, so each entry's
+  // rows stay ascending.
+  std::stable_sort(moves_.begin(), moves_.end(),
+                   [](const Move& a, const Move& b) {
+                     return std::less<Entry*>()(a.entry, b.entry);
+                   });
+  for (size_t i = 0; i < moves_.size();) {
+    Entry* e = moves_[i].entry;
+    size_t end = i;
+    while (end < moves_.size() && moves_[end].entry == e) ++end;
+    Posting& p = e->posting;
+    if (p.dense_) {
+      for (size_t k = i; k < end; ++k) {
+        FALCON_DCHECK(p.bits_.Test(moves_[k].row));
+        p.bits_.Clear(moves_[k].row);
+      }
+      p.dense_count_ -= end - i;
+    } else {
+      // One merge: the leaving rows are a sorted subset of the ids.
+      std::vector<uint32_t>& ids = p.ids_;
+      size_t kept = 0;
+      size_t k = i;
+      for (uint32_t r : ids) {
+        if (k < end && moves_[k].row == r) {
+          ++k;
+        } else {
+          ids[kept++] = r;
+        }
+      }
+      FALCON_DCHECK(k == end);
+      ids.resize(kept);
+    }
+    Refresh(*e);
+    i = end;
+  }
+  if (new_entry != nullptr && !added_.empty()) {
+    Posting& p = new_entry->posting;
+    if (p.dense_) {
+      for (uint32_t r : added_) {
+        FALCON_DCHECK(!p.bits_.Test(r));
+        p.bits_.Set(r);
+      }
+      p.dense_count_ += added_.size();
+    } else {
+      std::vector<uint32_t> merged(p.ids_.size() + added_.size());
+      std::merge(p.ids_.begin(), p.ids_.end(), added_.begin(), added_.end(),
+                 merged.begin());
+      p.ids_ = std::move(merged);
+    }
+    Refresh(*new_entry);
   }
 }
 
 PostingStorageStats PostingIndex::StorageStats() const {
   PostingStorageStats s;
   size_t dense_entry = ((table_->num_rows() + 63) / 64) * sizeof(uint64_t);
-  for (const ColumnCache& cache : cache_) {
-    for (const auto& [v, e] : cache) {
-      ++s.entries;
-      s.resident_bytes += e.rows.HeapBytes();
-      s.dense_bytes += dense_entry;
-      if (e.rows.compressed()) {
-        auto cs = e.rows.comp().container_stats();
-        s.array_containers += cs.arrays;
-        s.bitmap_containers += cs.bitmaps;
-        s.run_containers += cs.runs;
-      }
-    }
-  }
+  ForEachEntry([&](size_t, ValueId, const Posting& p) {
+    ++s.entries;
+    s.resident_bytes += p.PayloadBytes();
+    s.dense_bytes += dense_entry;
+    ++(p.dense() ? s.dense_postings : s.array_postings);
+  });
   return s;
 }
 
-const HybridRowSet& PostingIndex::Postings(size_t col, ValueId v) {
+const Posting& PostingIndex::Postings(size_t col, ValueId v) {
   ColumnCache& cache = cache_[col];
   auto it = cache.find(v);
   if (it != cache.end()) {
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // Touch.
-    return it->second.rows;
+    return it->second.posting;
   }
   ++stats_.misses;
   Timer timer(&stats_.scan_ms);
@@ -87,16 +184,10 @@ const HybridRowSet& PostingIndex::Postings(size_t col, ValueId v) {
     it = cache.find(v);
     if (it != cache.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.rows;
+      return it->second.posting;
     }
   }
-  HybridRowSet rows(table_->ScanEquals(col, v));
-  if (options_.compressed) {
-    // Density-adaptive: sparse postings compress, dense ones stay word
-    // bitmaps. Deterministic in the posting's cardinality only.
-    rows.Compact(rows.Count());
-  }
-  return Insert(col, v, std::move(rows)).rows;
+  return Insert(col, v, MakePosting(table_->ScanEquals(col, v))).posting;
 }
 
 void PostingIndex::BuildColumn(size_t col, ThreadPool* pool) {
@@ -161,22 +252,32 @@ bool PostingIndex::CountingSortBuild(size_t col, ThreadPool& pool,
   // `ids`, ascending ValueIds first; within it shard s writes after every
   // earlier shard, so each bucket comes out in ascending row order and the
   // layout never depends on the thread count. The distinct count this walk
-  // finds decides bounded versus key-like.
+  // finds decides bounded versus key-like. The range is mostly ids of
+  // other columns, so the walk skips all-zero blocks of 16 counts first.
+  constexpr size_t kWalkBlock = 16;
   const size_t max_distinct = num_rows / 64;
   std::vector<ValueId> values;       // Distinct values, ascending.
   std::vector<size_t> bounds = {0};  // Bucket i is [bounds[i], bounds[i+1]).
   size_t next = 0;
-  for (size_t i = 0; i < range; ++i) {
-    size_t start = next;
-    for (std::vector<uint32_t>& h : counts) {
-      uint32_t count = h[i];
-      h[i] = static_cast<uint32_t>(next);
-      next += count;
+  for (size_t b = 0; b < range; b += kWalkBlock) {
+    const size_t b_end = std::min(range, b + kWalkBlock);
+    uint32_t any = 0;
+    for (const std::vector<uint32_t>& h : counts) {
+      for (size_t i = b; i < b_end; ++i) any |= h[i];
     }
-    if (next == start) continue;
-    if (only_bounded && values.size() == max_distinct) return false;
-    values.push_back(static_cast<ValueId>(lo + i));
-    bounds.push_back(next);
+    if (any == 0) continue;
+    for (size_t i = b; i < b_end; ++i) {
+      size_t start = next;
+      for (std::vector<uint32_t>& h : counts) {
+        uint32_t count = h[i];
+        h[i] = static_cast<uint32_t>(next);
+        next += count;
+      }
+      if (next == start) continue;
+      if (only_bounded && values.size() == max_distinct) return false;
+      values.push_back(static_cast<ValueId>(lo + i));
+      bounds.push_back(next);
+    }
   }
 
   // Pass 2: bucket row ids by value. Every slot is written exactly once.
@@ -193,22 +294,15 @@ bool PostingIndex::CountingSortBuild(size_t col, ThreadPool& pool,
   });
   counts.clear();
 
-  // Pass 3: emit each value's posting from its bucket, in the
-  // representation Compact would give a scan of the same rows, and cache
-  // it, in ascending ValueId order. Serial, so every posting is allocated
-  // by the calling thread, as a miss's scan would be.
+  // Pass 3: emit each value's posting from its bucket, in the form a
+  // miss would store, and cache it, in ascending ValueId order. An array
+  // posting is a copy of its bucket, a dense one a scatter of it. Serial,
+  // so every posting is allocated by the calling thread, as a miss's
+  // scan would be.
   for (size_t i = 0; i < values.size(); ++i) {
     std::span<const uint32_t> rows(ids.get() + bounds[i],
                                    bounds[i + 1] - bounds[i]);
-    if (options_.compressed &&
-        HybridRowSet::CompressesDense(rows.size(), num_rows)) {
-      Insert(col, values[i],
-             HybridRowSet(CompressedRowSet::FromSorted(num_rows, rows)));
-    } else {
-      RowSet dense(num_rows);
-      for (uint32_t r : rows) dense.Set(r);
-      Insert(col, values[i], std::move(dense));
-    }
+    Insert(col, values[i], MakePosting(rows));
   }
   return true;
 }
@@ -219,13 +313,11 @@ void PostingIndex::ApplyAppend(size_t old_rows) {
   if (new_rows == old_rows) return;
   Timer timer(&stats_.append_ms);
   stats_.append_rows += new_rows - old_rows;
-  std::vector<Entry*> touched;
   for (size_t c = 0; c < cache_.size(); ++c) {
     ColumnCache& cache = cache_[c];
     if (cache.empty()) continue;
     for (auto& [v, e] : cache) {
-      e.rows.Resize(new_rows);
-      Touch(&e, touched);
+      if (e.posting.dense_) e.posting.bits_.Resize(new_rows);
     }
     const ValueId* column = table_->column(c).data();
     // Appended chunks frequently repeat values; memoize the last lookup.
@@ -239,10 +331,18 @@ void PostingIndex::ApplyAppend(size_t old_rows) {
         memo_entry = FindEntry(cache, v);
         memo_valid = true;
       }
-      if (memo_entry != nullptr) memo_entry->rows.Set(r);
+      if (memo_entry == nullptr) continue;
+      Posting& p = memo_entry->posting;
+      if (p.dense_) {
+        p.bits_.Set(r);
+        ++p.dense_count_;
+      } else {
+        p.ids_.push_back(static_cast<uint32_t>(r));  // Ascending.
+      }
     }
+    // More rows move the rule's line: re-check every posting's form.
+    for (auto& [v, e] : cache) Refresh(e);
   }
-  ReaccountTouched(touched);
 }
 
 void PostingIndex::ApplyCellDelta(size_t col, size_t row, ValueId old_value,
@@ -251,15 +351,15 @@ void PostingIndex::ApplyCellDelta(size_t col, size_t row, ValueId old_value,
   Timer timer(&stats_.delta_ms);
   ColumnCache& cache = cache_[col];
   if (cache.empty()) return;
-  std::vector<Entry*> touched;
-  if (Entry* e = Touch(FindEntry(cache, old_value), touched)) {
-    e->rows.Clear(row);
+  moves_.clear();
+  added_.clear();
+  if (Entry* e = FindEntry(cache, old_value)) {
+    moves_.push_back({e, static_cast<uint32_t>(row)});
   }
-  if (Entry* e = Touch(FindEntry(cache, new_value), touched)) {
-    e->rows.Set(row);
-  }
+  Entry* new_entry = FindEntry(cache, new_value);
+  if (new_entry != nullptr) added_.push_back(static_cast<uint32_t>(row));
   ++stats_.delta_rows;
-  ReaccountTouched(touched);
+  ApplyMoves(new_entry);
 }
 
 void PostingIndex::InvalidateColumn(size_t col) {

@@ -1,21 +1,12 @@
 #include "relational/table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace falcon {
-namespace {
-
-// Below this many rows CountDiffCells runs inline: a 64k-row pass is
-// ~256KB of reads, cheaper than waking the pool.
-constexpr size_t kParallelRowGrain = size_t{1} << 16;
-
-}  // namespace
 
 Table::Table(std::string name, Schema schema, std::shared_ptr<ValuePool> pool)
     : name_(std::move(name)),
@@ -113,21 +104,29 @@ RowSet Table::ScanConjunction(
   return rows;
 }
 
-size_t Table::DistinctCount(size_t col) const {
+size_t Table::DistinctCount(size_t col, size_t stop_above) const {
   // One pass over a bit vector indexed by ValueId: ids are dense pool
   // indices, so the vector spans at most the pool and grows to the
-  // largest id the column holds.
+  // largest id the column holds. The bound is checked once per 64 rows.
+  const std::vector<ValueId>& values = *columns_[col];
+  const size_t n = values.size();
   std::vector<uint64_t> seen;
   size_t distinct = 0;
-  for (ValueId v : *columns_[col]) {
-    if (v == kNullValueId) continue;
-    size_t w = v >> 6;
-    if (w >= seen.size()) seen.resize(std::max(w + 1, 2 * seen.size()), 0);
-    uint64_t bit = uint64_t{1} << (v & 63);
-    distinct += (seen[w] & bit) == 0;
-    seen[w] |= bit;
+  for (size_t r0 = 0; r0 < n; r0 += 64) {
+    if (distinct > stop_above) return stop_above + 1;
+    if (stop_above < n && distinct + (n - r0) <= stop_above) return distinct;
+    size_t end = std::min(n, r0 + 64);
+    for (size_t r = r0; r < end; ++r) {
+      ValueId v = values[r];
+      if (v == kNullValueId) continue;
+      size_t w = v >> 6;
+      if (w >= seen.size()) seen.resize(std::max(w + 1, 2 * seen.size()), 0);
+      uint64_t bit = uint64_t{1} << (v & 63);
+      distinct += (seen[w] & bit) == 0;
+      seen[w] |= bit;
+    }
   }
-  return distinct;
+  return distinct > stop_above ? stop_above + 1 : distinct;
 }
 
 Table Table::Clone() const {
@@ -146,24 +145,20 @@ size_t Table::SharedColumnCount() const {
 }
 
 size_t Table::CountDiffCells(const Table& other) const {
-  FALCON_CHECK(num_rows_ == other.num_rows_);
-  FALCON_CHECK(num_cols() == other.num_cols());
   size_t diff = 0;
-  for (size_t c = 0; c < num_cols(); ++c) {
-    const ValueId* a = columns_[c]->data();
-    const ValueId* b = other.columns_[c]->data();
-    // Integer partial sums combine associatively, so row-sharding the count
-    // is exact. The atomic serializes only once per shard.
-    std::atomic<size_t> col_diff{0};
-    ThreadPool::Global().ParallelFor(
-        num_rows_, kParallelRowGrain, [&](size_t begin, size_t end) {
-          size_t local = 0;
-          for (size_t r = begin; r < end; ++r) local += a[r] != b[r];
-          col_diff.fetch_add(local, std::memory_order_relaxed);
-        });
-    diff += col_diff.load();
-  }
+  ForEachDiffCell(other, [&](size_t, size_t) { ++diff; });
   return diff;
+}
+
+uint64_t Table::DiffMask(const ValueId* a, const ValueId* b, size_t n) {
+  // Most blocks are clean: an OR of XORs, a plain reduction the compiler
+  // vectorizes, settles those before any bit is placed.
+  ValueId any = 0;
+  for (size_t i = 0; i < n; ++i) any |= a[i] ^ b[i];
+  if (any == 0) return 0;
+  uint64_t mask = 0;
+  for (size_t i = 0; i < n; ++i) mask |= uint64_t{a[i] != b[i]} << i;
+  return mask;
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -19,6 +19,8 @@
 #ifndef FALCON_RELATIONAL_TABLE_H_
 #define FALCON_RELATIONAL_TABLE_H_
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <span>
 #include <string>
@@ -123,7 +125,17 @@ class Table {
       const std::vector<std::pair<size_t, ValueId>>& preds) const;
 
   /// Number of distinct non-null values in `col`.
-  size_t DistinctCount(size_t col) const;
+  size_t DistinctCount(size_t col) const {
+    return DistinctCount(col, num_rows_);
+  }
+
+  /// DistinctCount with a stop bound: the pass ends as soon as whether the
+  /// count exceeds `stop_above` is settled — once it does (the result is
+  /// then stop_above + 1), or once the rows left could not carry it past
+  /// (the result is then the count so far). Either way the result exceeds
+  /// `stop_above` iff the exact count does; a bound ≥ num_rows() never
+  /// stops early, so the result is exact.
+  size_t DistinctCount(size_t col, size_t stop_above) const;
 
   /// Copy-on-write snapshot: O(arity) — column storage is shared with the
   /// source until either side writes. The ValuePool is shared (append-only).
@@ -136,6 +148,36 @@ class Table {
   /// Number of cells where this table differs from `other` (same shape
   /// required). Used to measure residual dirtiness against the clean table.
   size_t CountDiffCells(const Table& other) const;
+
+  /// Calls `fn(row, col)` for every cell where this table differs from
+  /// `other` (same shape required), in row-major order. Works 64 rows at a
+  /// time: each column's compares fold into one mask word (DiffMask), and
+  /// the block's set bits are listed row by row.
+  template <typename Fn>
+  void ForEachDiffCell(const Table& other, Fn&& fn) const {
+    FALCON_CHECK(num_rows_ == other.num_rows_);
+    FALCON_CHECK(num_cols() == other.num_cols());
+    const size_t cols = num_cols();
+    std::vector<uint64_t> masks(cols);
+    for (size_t r0 = 0; r0 < num_rows_; r0 += 64) {
+      size_t len = std::min<size_t>(64, num_rows_ - r0);
+      uint64_t rows = 0;
+      for (size_t c = 0; c < cols; ++c) {
+        masks[c] = DiffMask(columns_[c]->data() + r0,
+                            other.columns_[c]->data() + r0, len);
+        rows |= masks[c];
+      }
+      for (; rows != 0; rows &= rows - 1) {
+        int bit = std::countr_zero(rows);
+        for (size_t c = 0; c < cols; ++c) {
+          if ((masks[c] >> bit) & 1) fn(r0 + static_cast<size_t>(bit), c);
+        }
+      }
+    }
+  }
+
+  /// Bit i set iff a[i] != b[i], for n ≤ 64. Branch-free per row.
+  static uint64_t DiffMask(const ValueId* a, const ValueId* b, size_t n);
 
   /// Pretty-prints up to `max_rows` rows (debug/examples).
   std::string ToString(size_t max_rows = 20) const;

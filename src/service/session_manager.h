@@ -149,8 +149,9 @@ class SessionManager {
     /// posting_delta); exposed so both posting modes are exercisable over
     /// the wire.
     bool posting_delta = true;
-    /// Posting storage (SessionOptions::compressed_rowsets); exposed so
-    /// both representations are exercisable over the wire.
+    /// Posting storage (SessionOptions::compressed_rowsets: sparse
+    /// postings as row-id arrays, or all dense); exposed so both modes
+    /// are exercisable over the wire.
     bool compressed_rowsets = true;
   };
 

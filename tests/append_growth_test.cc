@@ -1,15 +1,12 @@
-// Universe growth for streaming append: RowSet/CompressedRowSet/
-// HybridRowSet::Resize semantics (and the mismatched-universe guard rails),
-// deterministic parallel posting builds, PostingIndex::ApplyAppend vs
-// rebuild, and the incremental violation detector vs its one-shot ground
-// truth.
+// Universe growth for streaming append: RowSet::Resize semantics (and the
+// mismatched-universe guard rails), deterministic parallel posting builds,
+// PostingIndex::ApplyAppend vs rebuild (rows, form and bytes), and the
+// incremental violation detector vs its one-shot ground truth.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
-#include "common/compressed_row_set.h"
-#include "common/hybrid_row_set.h"
 #include "common/row_set.h"
 #include "common/thread_pool.h"
 #include "core/violation_detector.h"
@@ -68,44 +65,6 @@ TEST(RowSetResizeTest, GrownOperandsCombine) {
   EXPECT_TRUE(a.Test(150));
 }
 
-TEST(CompressedRowSetResizeTest, PreservesBitsAndClearsNewRows) {
-  CompressedRowSet s(70000);
-  s.Set(1);
-  s.Set(65536);  // Second container.
-  s.Resize(200000);
-  EXPECT_EQ(s.universe_size(), 200000u);
-  EXPECT_EQ(s.Count(), 2u);
-  EXPECT_TRUE(s.Test(1));
-  EXPECT_TRUE(s.Test(65536));
-  EXPECT_FALSE(s.Test(199999));
-  s.Set(150000);
-  EXPECT_EQ(s.Count(), 3u);
-  EXPECT_EQ(s.Complement().Count(), 200000u - 3u);
-}
-
-TEST(HybridRowSetResizeTest, GrowsWhicheverRepresentationIsActive) {
-  // Dense-side growth.
-  HybridRowSet dense(RowSet(1000));
-  dense.Set(5);
-  dense.Resize(5000);
-  EXPECT_FALSE(dense.compressed());
-  EXPECT_EQ(dense.universe_size(), 5000u);
-  EXPECT_TRUE(dense.ToDense().Test(5));
-  EXPECT_EQ(dense.Count(), 1u);
-
-  // Compressed-side growth: a sparse set over a big universe compacts,
-  // then grows while staying compressed.
-  HybridRowSet sparse(RowSet(1 << 16));
-  sparse.Set(3);
-  sparse.Set(40000);
-  sparse.Compact(sparse.Count());
-  ASSERT_TRUE(sparse.compressed());
-  sparse.Resize(1 << 18);
-  EXPECT_TRUE(sparse.compressed());
-  EXPECT_EQ(sparse.universe_size(), size_t{1} << 18);
-  EXPECT_EQ(sparse.ToDense().ToVector(), (std::vector<uint32_t>{3, 40000}));
-}
-
 // FALCON_DCHECK is compiled out under NDEBUG, so the guard-rail death
 // tests only exist in debug builds.
 #if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
@@ -157,8 +116,10 @@ SpecTable MakeSpecTable(size_t rows = 0) {
 // Bounded-domain columns of the spec table (everything but the key).
 const std::vector<size_t> kBounded = {1, 2, 3};
 
-// Canonical digest over cached postings: (col, value, row stream) → FNV.
-uint64_t PostingDigest(PostingIndex& index, const Table& table) {
+// Canonical digest over cached postings: (col, value, row stream) → FNV,
+// plus each posting's form and payload bytes when `with_form`.
+uint64_t PostingDigest(PostingIndex& index, const Table& table,
+                       bool with_form = false) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t x) {
     h ^= x;
@@ -169,7 +130,12 @@ uint64_t PostingDigest(PostingIndex& index, const Table& table) {
     for (ValueId v : values) {
       mix(c);
       mix(v);
-      index.Postings(c, v).ForEach([&](size_t r) { mix(r + 0x9e3779b9ull); });
+      const Posting& p = index.Postings(c, v);
+      p.ForEach([&](size_t r) { mix(r + 0x9e3779b9ull); });
+      if (with_form) {
+        mix(p.dense());
+        mix(p.PayloadBytes());
+      }
     }
   }
   return h;
@@ -224,15 +190,16 @@ TEST(PostingAppendTest, ApplyAppendMatchesRebuildOnGrownTable) {
       ASSERT_GT(index.stats().append_rows, 0u);
     }
 
+    // Rows, form and bytes all equal a fresh build of the grown table.
     PostingIndex rebuilt(&st.table, opts);
     for (size_t c : kBounded) rebuilt.BuildColumn(c);
-    EXPECT_EQ(PostingDigest(index, st.table), PostingDigest(rebuilt, st.table))
+    EXPECT_EQ(PostingDigest(index, st.table, /*with_form=*/true),
+              PostingDigest(rebuilt, st.table, /*with_form=*/true))
         << "compressed=" << compressed;
-
-    // Universe bookkeeping: every maintained posting covers the grown
-    // table.
-    EXPECT_EQ(index.Postings(1, st.table.cell(0, 1)).universe_size(),
-              st.table.num_rows());
+    EXPECT_EQ(index.cached_bytes(), rebuilt.cached_bytes());
+    ValueId v = st.table.cell(0, 1);
+    EXPECT_EQ(index.Postings(1, v).ToRowSet(st.table.num_rows()),
+              st.table.ScanEquals(1, v));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,10 +19,11 @@ TEST(PostingIndexTest, PostingsMatchScan) {
   DrugExample ex = MakeDrugExample();
   PostingIndex index(&ex.dirty);
   ValueId austin = ex.dirty.Lookup("Austin");
-  EXPECT_EQ(index.Postings(2, austin).ToDense(),
+  const size_t n = ex.dirty.num_rows();
+  EXPECT_EQ(index.Postings(2, austin).ToRowSet(n),
             ex.dirty.ScanEquals(2, austin));
   ValueId statin = ex.dirty.Lookup("statin");
-  EXPECT_EQ(index.Postings(1, statin).ToDense(),
+  EXPECT_EQ(index.Postings(1, statin).ToRowSet(n),
             ex.dirty.ScanEquals(1, statin));
 }
 
@@ -131,16 +133,16 @@ TEST(PostingIndexTest, DeltaMaintenanceMatchesFreshScansUnderRandomWrites) {
     if (step % 25 == 0) {
       size_t c = rng.NextUint(table.num_cols());
       ValueId v = alphabet[rng.NextUint(alphabet.size())];
-      EXPECT_EQ(delta.Postings(c, v).ToDense(), table.ScanEquals(c, v))
+      EXPECT_EQ(delta.Postings(c, v).ToRowSet(table.num_rows()), table.ScanEquals(c, v))
           << "step " << step;
-      EXPECT_EQ(legacy.Postings(c, v).ToDense(), table.ScanEquals(c, v))
+      EXPECT_EQ(legacy.Postings(c, v).ToRowSet(table.num_rows()), table.ScanEquals(c, v))
           << "step " << step;
     }
   }
   // Final sweep: every (col, value) bitmap must match a fresh scan.
   for (size_t c = 0; c < table.num_cols(); ++c) {
     for (ValueId v : alphabet) {
-      EXPECT_EQ(delta.Postings(c, v).ToDense(), table.ScanEquals(c, v));
+      EXPECT_EQ(delta.Postings(c, v).ToRowSet(table.num_rows()), table.ScanEquals(c, v));
     }
   }
   EXPECT_GT(delta.stats().delta_rows, 0u);
@@ -172,7 +174,7 @@ TEST(PostingIndexTest, BatchApplyDeltaMatchesFreshScans) {
     rows.ForEach([&](size_t r) { table.set_cell(r, col_b, w); });
     for (size_t c = 0; c < table.num_cols(); ++c) {
       for (ValueId v : alphabet) {
-        ASSERT_EQ(index.Postings(c, v).ToDense(), table.ScanEquals(c, v))
+        ASSERT_EQ(index.Postings(c, v).ToRowSet(table.num_rows()), table.ScanEquals(c, v))
             << "step " << step << " col " << c;
       }
     }
@@ -205,19 +207,19 @@ TEST(PostingIndexTest, ByteBudgetEvictsLruEntries) {
   index.Postings(1, statin);
   EXPECT_EQ(index.misses(), misses_before + 1);
   // Evicted-and-refilled bitmaps are still exact.
-  EXPECT_EQ(index.Postings(1, statin).ToDense(),
+  EXPECT_EQ(index.Postings(1, statin).ToRowSet(ex.dirty.num_rows()),
             ex.dirty.ScanEquals(1, statin));
 }
 
-// Compressed postings are an encoding choice, not a semantics change:
-// every bitmap and every delta patch must agree bit-for-bit with a dense
+// Array postings are a storage choice, not a semantics change: every
+// posting and every delta patch must agree bit for bit with an all-dense
 // index over the same write sequence, and StorageStats must report the
-// compressed entries as cheaper than their dense footprint on a sparse
+// arrays as cheaper than their dense footprint on a sparse
 // (large-alphabet) workload.
 TEST(PostingIndexTest, CompressedPostingsMatchDenseUnderRandomWrites) {
   Rng rng(9091);
-  // Universe above kMinCompressUniverse so Compact actually compresses;
-  // alphabet of 64 keeps each posting sparse (~1/64 density).
+  // An alphabet of 64 keeps each posting sparse (~1/64 density, below the
+  // 1/32 line), so almost every posting is an array.
   Table table = MakeRandomTable(20000, 3, 64, &rng);
   std::vector<ValueId> alphabet;
   for (size_t a = 0; a < 64; ++a) {
@@ -249,10 +251,11 @@ TEST(PostingIndexTest, CompressedPostingsMatchDenseUnderRandomWrites) {
     table.set_cell(row, col, new_value);
   }
 
+  const size_t n = table.num_rows();
   for (size_t c = 0; c < table.num_cols(); ++c) {
     for (size_t a = 0; a < alphabet.size(); a += 5) {
-      RowSet d = dense.Postings(c, alphabet[a]).ToDense();
-      RowSet k = comp.Postings(c, alphabet[a]).ToDense();
+      RowSet d = dense.Postings(c, alphabet[a]).ToRowSet(n);
+      RowSet k = comp.Postings(c, alphabet[a]).ToRowSet(n);
       EXPECT_EQ(d, k) << "col " << c << " value " << a;
       EXPECT_EQ(k, table.ScanEquals(c, alphabet[a]));
     }
@@ -261,16 +264,17 @@ TEST(PostingIndexTest, CompressedPostingsMatchDenseUnderRandomWrites) {
   PostingStorageStats ds = dense.StorageStats();
   PostingStorageStats cs = comp.StorageStats();
   ASSERT_GT(cs.entries, 0u);
-  // Sparse workload: the compressed index must be materially smaller than
-  // both its own dense footprint and the dense index's resident bytes.
+  EXPECT_EQ(ds.array_postings, 0u);
+  // Sparse workload: the array index must be materially smaller than both
+  // its own dense footprint and the dense index's resident bytes.
   EXPECT_LT(cs.resident_bytes, cs.dense_bytes);
   EXPECT_LT(cs.resident_bytes, ds.resident_bytes);
   EXPECT_GT(cs.compression(), 2.0);
-  EXPECT_GT(cs.array_containers + cs.run_containers, 0u);
+  EXPECT_GT(cs.array_postings, 0u);
 }
 
 // Exact byte accounting: cached_bytes always equals the sum of per-entry
-// footprints — measured bitmap heap bytes plus the flat per-entry charge —
+// footprints — payload bytes plus the flat per-entry charge —
 // across inserts, single-cell and multi-row delta patches, appends, full
 // column builds, invalidation and budget eviction, in both storage modes.
 // CleaningSession reports posting_resident_bytes from this identity
@@ -348,13 +352,13 @@ TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
   }
 }
 
-// A table of `rows` rows whose columns cover every storage case a build
-// can emit once rows >= HybridRowSet::kMinCompressUniverse:
-//  0: skewed — one value on ~half the rows (dense), many sparse values
-//     (array containers) and NULL;
-//  1: blocks of 1000 equal rows (run containers) with NULL pockets;
-//  2: one value on every other row of the first chunk (a bitmap container
-//     in a sparse posting), the rest uniform over 20 values;
+// A table of `rows` rows whose columns cover both forms a build can emit
+// (at 150k rows the dense line is 4,688 rows):
+//  0: skewed — one value on ~half the rows and NULL on ~5% (dense), 40
+//     sparse values (arrays);
+//  1: blocks of 1000 equal rows (arrays) with NULL pockets (dense);
+//  2: one value on every other row of the first 8,400 rows (an array),
+//     the rest uniform over 20 values (dense);
 //  3: a unique key (key-like; a whole build of it would hold one posting
 //     per row, so only misses touch it).
 Table MakeBuildTable(size_t rows, uint64_t seed) {
@@ -383,11 +387,30 @@ std::vector<ValueId> DistinctValues(const Table& t, size_t col) {
   return {values.begin(), values.end()};
 }
 
-// BuildColumn is a counting sort; the per-value path is a scan plus
-// Compact. Both must store the same thing — contents, representation,
-// container encodings and measured bytes — at every thread count.
+// The form and payload a per-value scan of `col` = `v` is stored in.
+struct ExpectedPosting {
+  RowSet rows;
+  bool dense = true;
+  size_t bytes = 0;
+};
+
+ExpectedPosting Expect(const Table& table, size_t col, ValueId v,
+                       bool compressed) {
+  ExpectedPosting e;
+  e.rows = table.ScanEquals(col, v);
+  size_t count = e.rows.Count();
+  e.dense = !compressed || Posting::DenseRule(count, table.num_rows());
+  e.bytes = e.dense ? e.rows.num_words() * sizeof(uint64_t)
+                    : count * sizeof(uint32_t);
+  return e;
+}
+
+// BuildColumn is a counting sort; the per-value path is a scan. Both must
+// store the same thing — contents, form and payload bytes — at every
+// thread count.
 TEST(PostingIndexTest, BuildColumnEqualsPerValueScansAtEveryThreadCount) {
   Table table = MakeBuildTable(150000, 61);  // Two shards at 4 threads.
+  const size_t n = table.num_rows();
   for (bool compressed : {false, true}) {
     PostingIndexOptions opts;
     opts.compressed = compressed;
@@ -396,40 +419,26 @@ TEST(PostingIndexTest, BuildColumnEqualsPerValueScansAtEveryThreadCount) {
                    " workers=" + std::to_string(workers));
       ThreadPool pool(workers);
       PostingIndex index(&table, opts);
-      size_t want_bytes = 0, want_entries = 0;
-      size_t compressed_seen = 0;
+      size_t want_bytes = 0, want_entries = 0, arrays = 0, dense = 0;
       for (size_t c : {size_t{0}, size_t{1}, size_t{2}}) {
         index.BuildColumn(c, &pool);
         for (ValueId v : DistinctValues(table, c)) {
-          HybridRowSet want(table.ScanEquals(c, v));
-          if (compressed) want.Compact(want.Count());
-          const HybridRowSet& got = index.Postings(c, v);
-          ASSERT_EQ(got.ToDense(), want.ToDense()) << c << "/" << v;
-          ASSERT_EQ(got.compressed(), want.compressed()) << c << "/" << v;
-          ASSERT_EQ(got.HeapBytes(), want.HeapBytes()) << c << "/" << v;
-          if (want.compressed()) {
-            ++compressed_seen;
-            auto g = got.comp().container_stats();
-            auto w = want.comp().container_stats();
-            EXPECT_EQ(g.arrays, w.arrays) << c << "/" << v;
-            EXPECT_EQ(g.bitmaps, w.bitmaps) << c << "/" << v;
-            EXPECT_EQ(g.runs, w.runs) << c << "/" << v;
-          }
-          want_bytes += want.HeapBytes() + PostingIndex::kEntryOverheadBytes;
+          ExpectedPosting want = Expect(table, c, v, compressed);
+          const Posting& got = index.Postings(c, v);
+          ASSERT_EQ(got.ToRowSet(n), want.rows) << c << "/" << v;
+          ASSERT_EQ(got.dense(), want.dense) << c << "/" << v;
+          ASSERT_EQ(got.PayloadBytes(), want.bytes) << c << "/" << v;
+          ++(want.dense ? dense : arrays);
+          want_bytes += want.bytes + PostingIndex::kEntryOverheadBytes;
           ++want_entries;
         }
       }
       EXPECT_EQ(index.cached_entries(), want_entries);
       EXPECT_EQ(index.cached_bytes(), want_bytes);
       EXPECT_EQ(index.misses(), 0u);
-      if (compressed) {
-        // Every container kind occurs, so the comparison covers them all.
-        PostingStorageStats st = index.StorageStats();
-        EXPECT_GT(compressed_seen, 0u);
-        EXPECT_GT(st.array_containers, 0u);
-        EXPECT_GT(st.bitmap_containers, 0u);
-        EXPECT_GT(st.run_containers, 0u);
-      }
+      // Both forms occur in compressed mode, so the comparison covers both.
+      EXPECT_GT(dense, 0u);
+      EXPECT_EQ(arrays > 0, compressed);
     }
   }
 }
@@ -445,7 +454,7 @@ TEST(PostingIndexTest, OneMissMakesEveryValueOfABoundedColumnResident) {
   EXPECT_EQ(index.misses(), 1u);
   EXPECT_EQ(index.cached_entries(), values.size());
   for (ValueId v : values) {
-    EXPECT_EQ(index.Postings(1, v).ToDense(), table.ScanEquals(1, v));
+    EXPECT_EQ(index.Postings(1, v).ToRowSet(table.num_rows()), table.ScanEquals(1, v));
   }
   EXPECT_EQ(index.misses(), 1u);
   EXPECT_EQ(index.hits(), values.size());
@@ -456,7 +465,7 @@ TEST(PostingIndexTest, KeyLikeColumnHoldsOnlyProbedEntries) {
   PostingIndex index(&table);
   for (size_t r : {size_t{3}, size_t{17}, size_t{19999}}) {
     ValueId v = table.cell(r, 3);
-    EXPECT_EQ(index.Postings(3, v).ToDense(), table.ScanEquals(3, v));
+    EXPECT_EQ(index.Postings(3, v).ToRowSet(table.num_rows()), table.ScanEquals(3, v));
   }
   EXPECT_EQ(index.misses(), 3u);
   EXPECT_EQ(index.cached_entries(), 3u);
@@ -483,9 +492,9 @@ TEST(PostingIndexTest, AbsentValueReturnsEmptySet) {
   for (size_t c : {size_t{1}, size_t{3}}) {  // Bounded, then key-like.
     // First miss (builds column 1) and a miss on a built column.
     for (int probe = 0; probe < 2; ++probe) {
-      const HybridRowSet& rows = index.Postings(c, absent);
+      const Posting& rows = index.Postings(c, absent);
       EXPECT_EQ(rows.Count(), 0u) << c;
-      EXPECT_EQ(rows.universe_size(), table.num_rows()) << c;
+      EXPECT_EQ(rows.ToRowSet(table.num_rows()).Count(), 0u) << c;
     }
     ValueId other = table.Intern("also-never-" + std::to_string(c));
     EXPECT_EQ(index.Postings(c, other).Count(), 0u) << c;
@@ -509,7 +518,7 @@ TEST(PostingIndexTest, WholeColumnPostingsStayExactUnderMaintenance) {
         std::vector<ValueId> values = DistinctValues(table, c);
         values.push_back(fresh);
         for (ValueId v : values) {
-          ASSERT_EQ(index.Postings(c, v).ToDense(), table.ScanEquals(c, v))
+          ASSERT_EQ(index.Postings(c, v).ToRowSet(table.num_rows()), table.ScanEquals(c, v))
               << after << " col " << c << " value " << v;
         }
       }
@@ -557,6 +566,122 @@ TEST(PostingIndexTest, WholeColumnPostingsStayExactUnderMaintenance) {
     EXPECT_EQ(index.cached_entries(),
               before + DistinctValues(table, 1).size());
     expect_exact("InvalidateColumn");
+  }
+}
+
+// Property: random sequences of every maintenance operation — ApplyDelta,
+// ApplyCellDelta, ApplyAppend, Trim, InvalidateColumn, plus probes that
+// refill what was dropped — keep a maintained index equal to a fresh build
+// in both storage modes. After each step every cached entry holds exactly
+// a fresh scan's rows in the form the rule picks for them, and
+// cached_bytes() is the sum of those fresh entries' bytes. The columns
+// straddle the dense line (1/32 of the rows) so deltas and appends flip
+// postings between the forms.
+TEST(PostingIndexTest, RandomMaintenanceEqualsFreshBuildInBothModes) {
+  for (bool compressed : {false, true}) {
+    SCOPED_TRACE(compressed ? "compressed" : "dense");
+    Rng rng(compressed ? 8181 : 8180);
+    // Alphabet per column: 4 (dense values), 32 (near the line), 40 (just
+    // under it) and 400 (key-like: more than rows/64 distinct values).
+    const size_t kAlphabet[] = {4, 32, 40, 400};
+    Table table("prop", Schema({"c0", "c1", "c2", "c3"}));
+    auto draw = [&](size_t c) {
+      return table.Intern("v" + std::to_string(c) + "_" +
+                          std::to_string(rng.NextUint(kAlphabet[c])));
+    };
+    auto append_rows = [&](size_t count) {
+      for (size_t i = 0; i < count; ++i) {
+        table.AppendRowIds({draw(0), draw(1), draw(2), draw(3)});
+      }
+    };
+    append_rows(3000);
+    PostingIndexOptions opts;
+    opts.compressed = compressed;
+    opts.byte_budget = 24 << 10;
+    PostingIndex index(&table, opts);
+
+    auto check = [&](int step, const char* op) {
+      size_t entries = 0, bytes = 0;
+      index.ForEachEntry([&](size_t c, ValueId v, const Posting& p) {
+        ExpectedPosting want = Expect(table, c, v, compressed);
+        ASSERT_EQ(p.ToRowSet(table.num_rows()), want.rows)
+            << op << " step " << step << " col " << c;
+        ASSERT_EQ(p.Count(), want.rows.Count()) << op << " step " << step;
+        ASSERT_EQ(p.dense(), want.dense) << op << " step " << step;
+        ASSERT_EQ(p.PayloadBytes(), want.bytes) << op << " step " << step;
+        ++entries;
+        bytes += want.bytes + PostingIndex::kEntryOverheadBytes;
+      });
+      ASSERT_EQ(entries, index.cached_entries()) << op << " step " << step;
+      ASSERT_EQ(bytes, index.cached_bytes()) << op << " step " << step;
+    };
+
+    size_t forms_flipped = 0;
+    std::map<std::pair<size_t, ValueId>, bool> last_forms;
+    for (int step = 0; step < 300; ++step) {
+      size_t col = rng.NextUint(table.num_cols());
+      const char* op = "";
+      switch (rng.NextUint(8)) {
+        case 0:
+        case 1: {  // A rule: ~1% of rows of one column rewritten.
+          op = "ApplyDelta";
+          ValueId w = draw(col);
+          RowSet rows(table.num_rows());
+          size_t k = 1 + rng.NextUint(table.num_rows() / 50);
+          for (size_t i = 0; i < k; ++i) {
+            rows.Set(rng.NextUint(table.num_rows()));
+          }
+          index.ApplyDelta(col, rows,
+                           [&](size_t r) { return table.cell(r, col); }, w);
+          rows.ForEach([&](size_t r) { table.set_cell(r, col, w); });
+          break;
+        }
+        case 2: {
+          op = "ApplyCellDelta";
+          size_t row = rng.NextUint(table.num_rows());
+          ValueId w = draw(col);
+          index.ApplyCellDelta(col, row, table.cell(row, col), w);
+          table.set_cell(row, col, w);
+          break;
+        }
+        case 3: {
+          op = "ApplyAppend";
+          size_t old_rows = table.num_rows();
+          append_rows(1 + rng.NextUint(200));
+          index.ApplyAppend(old_rows);
+          break;
+        }
+        case 4:
+          op = "Trim";
+          index.Trim();
+          break;
+        case 5:
+          op = "InvalidateColumn";
+          index.InvalidateColumn(col);
+          break;
+        default:  // Probe: a hit, or a refilling miss.
+          op = "Postings";
+          index.Postings(col, draw(col));
+          break;
+      }
+      check(step, op);
+      if (HasFatalFailure()) return;
+      std::map<std::pair<size_t, ValueId>, bool> forms;
+      index.ForEachEntry([&](size_t c, ValueId v, const Posting& p) {
+        auto it = last_forms.find({c, v});
+        forms_flipped += it != last_forms.end() && it->second != p.dense();
+        forms[{c, v}] = p.dense();
+      });
+      last_forms = std::move(forms);
+    }
+    EXPECT_GT(index.stats().evictions, 0u);
+    EXPECT_GT(index.stats().delta_rows, 0u);
+    EXPECT_GT(index.stats().append_rows, 0u);
+    if (compressed) {
+      PostingStorageStats st = index.StorageStats();
+      EXPECT_GT(st.array_postings, 0u);
+      EXPECT_GT(forms_flipped, 0u);
+    }
   }
 }
 

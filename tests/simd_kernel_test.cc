@@ -1,10 +1,9 @@
 // Tier-equivalence tests for the runtime-dispatched SIMD kernels (CRC32C
 // and the lattice_counts walk included), plus the lattice's counts under
-// every tier. Every kernel is a pure function and
-// every tier must return bit-identical results (see common/simd.h); these tests compare each tier
+// every tier. Every kernel is a pure function and every tier must return
+// bit-identical results (see common/simd.h); these tests compare each tier
 // the CPU can execute against the scalar reference on randomized inputs
-// whose cardinalities deliberately straddle the container promotion
-// boundary (4095 / 4096 / 4097) and the merge-vs-gallop crossover ratios.
+// whose lengths straddle the vector widths and the unroll factors.
 // Under the CI leg that exports FALCON_SIMD_LEVEL=scalar the vector tiers
 // are still tested directly through TableFor(), which ignores the override
 // and only gates on what the CPU supports.
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <utility>
@@ -51,33 +49,12 @@ std::vector<uint64_t> RandomWords(std::mt19937_64& rng, size_t n,
   return words;
 }
 
-// `card` distinct sorted u16 values drawn uniformly from [0, 65536).
-std::vector<uint16_t> RandomSortedU16(std::mt19937_64& rng, size_t card) {
-  FALCON_CHECK(card <= 65536);
-  // Floyd's sampling keeps this O(card) even at card near the universe.
-  std::vector<bool> taken(65536, false);
-  std::vector<uint16_t> vals;
-  vals.reserve(card);
-  for (size_t j = 65536 - card; j < 65536; ++j) {
-    size_t t = rng() % (j + 1);
-    size_t pick = taken[t] ? j : t;
-    taken[pick] = true;
-    vals.push_back(static_cast<uint16_t>(pick));
-  }
-  std::sort(vals.begin(), vals.end());
-  return vals;
-}
-
-// Cardinalities that straddle the array→bitmap promotion boundary, plus
-// small and empty edges and a non-multiple-of-vector-width value.
-const size_t kCards[] = {0, 1, 7, 64, 333, 4095, 4096, 4097};
-
 TEST(SimdKernelTest, WordLoopsMatchScalarAcrossTiers) {
   const Kernels* scalar = simd::TableFor(Level::kScalar);
   ASSERT_NE(scalar, nullptr);
   std::mt19937_64 rng(20260808);
   // Lengths straddle the unroll widths (4 words AVX2, 16 words AVX-512)
-  // and the full 1024-word container.
+  // and a 1024-word bitmap.
   const size_t kLens[] = {0, 1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 1023, 1024};
   for (Level level : VectorTiers()) {
     const Kernels* best = simd::TableFor(level);
@@ -122,100 +99,6 @@ TEST(SimdKernelTest, WordLoopsMatchScalarAcrossTiers) {
         size_t c3 = best->and3_count_words(d1.data(), d1.data(), b.data(), n);
         EXPECT_EQ(d1, o1) << simd::LevelName(level) << " and3 alias n=" << n;
         EXPECT_EQ(c3, c1) << simd::LevelName(level) << " and3 alias count";
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, IntersectionMatchesScalarAcrossPromotionBoundary) {
-  const Kernels* scalar = simd::TableFor(Level::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  std::mt19937_64 rng(727);
-  for (Level level : VectorTiers()) {
-    const Kernels* best = simd::TableFor(level);
-    for (size_t na : kCards) {
-      for (size_t nb : kCards) {
-        std::vector<uint16_t> a = RandomSortedU16(rng, na);
-        std::vector<uint16_t> b = RandomSortedU16(rng, nb);
-        size_t want = scalar->intersect_u16_count(a.data(), na, b.data(), nb);
-        EXPECT_EQ(best->intersect_u16_count(a.data(), na, b.data(), nb), want)
-            << simd::LevelName(level) << " " << na << "x" << nb;
-        std::vector<uint16_t> out_s(std::min(na, nb) + simd::kIntersectSlack,
-                                    0xBEEF);
-        std::vector<uint16_t> out_b(std::min(na, nb) + simd::kIntersectSlack,
-                                    0xBEEF);
-        size_t ns = scalar->intersect_u16(a.data(), na, b.data(), nb,
-                                          out_s.data());
-        size_t nbm = best->intersect_u16(a.data(), na, b.data(), nb,
-                                         out_b.data());
-        ASSERT_EQ(ns, want);
-        ASSERT_EQ(nbm, want);
-        EXPECT_TRUE(std::equal(out_s.begin(), out_s.begin() + ns,
-                               out_b.begin()))
-            << simd::LevelName(level) << " " << na << "x" << nb;
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, IntersectionMatchesScalarAroundGallopCrossover) {
-  const Kernels* scalar = simd::TableFor(Level::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  std::mt19937_64 rng(929);
-  // Ratios one below / at / above both tiers' crossover constants, so both
-  // the merge and gallop code paths run on every tier regardless of which
-  // side of its own threshold each ratio lands.
-  const size_t kRatios[] = {simd::kGallopRatioScalar - 1,
-                            simd::kGallopRatioScalar,
-                            simd::kGallopRatioScalar + 1,
-                            simd::kGallopRatioSimd - 1,
-                            simd::kGallopRatioSimd,
-                            simd::kGallopRatioSimd + 1};
-  for (Level level : VectorTiers()) {
-    const Kernels* best = simd::TableFor(level);
-    for (size_t small : {size_t{1}, size_t{8}, size_t{100}}) {
-      for (size_t ratio : kRatios) {
-        size_t large = std::min<size_t>(small * ratio, 65536);
-        std::vector<uint16_t> a = RandomSortedU16(rng, small);
-        std::vector<uint16_t> b = RandomSortedU16(rng, large);
-        size_t want =
-            scalar->intersect_u16_count(a.data(), small, b.data(), large);
-        EXPECT_EQ(best->intersect_u16_count(a.data(), small, b.data(), large),
-                  want)
-            << simd::LevelName(level) << " " << small << "x" << large;
-        // Argument order must not matter either.
-        EXPECT_EQ(best->intersect_u16_count(b.data(), large, a.data(), small),
-                  want)
-            << simd::LevelName(level) << " swapped " << small << "x" << large;
-        std::vector<uint16_t> out_s(small + simd::kIntersectSlack, 0xBEEF);
-        std::vector<uint16_t> out_b(small + simd::kIntersectSlack, 0xBEEF);
-        size_t ns = scalar->intersect_u16(a.data(), small, b.data(), large,
-                                          out_s.data());
-        size_t nbm = best->intersect_u16(a.data(), small, b.data(), large,
-                                         out_b.data());
-        ASSERT_EQ(ns, want);
-        ASSERT_EQ(nbm, want);
-        EXPECT_TRUE(std::equal(out_s.begin(), out_s.begin() + ns,
-                               out_b.begin()));
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, ArrayBitmapCountMatchesScalarAcrossTiers) {
-  const Kernels* scalar = simd::TableFor(Level::kScalar);
-  ASSERT_NE(scalar, nullptr);
-  std::mt19937_64 rng(31337);
-  for (Level level : VectorTiers()) {
-    const Kernels* best = simd::TableFor(level);
-    for (size_t card : kCards) {
-      for (int depth : {1, 4}) {
-        std::vector<uint16_t> vals = RandomSortedU16(rng, card);
-        std::vector<uint64_t> bits = RandomWords(rng, 1024, depth);
-        EXPECT_EQ(best->array_bitmap_count(vals.data(), card, bits.data()),
-                  scalar->array_bitmap_count(vals.data(), card, bits.data()))
-            << simd::LevelName(level) << " card=" << card
-            << " depth=" << depth;
       }
     }
   }
