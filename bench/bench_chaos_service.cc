@@ -6,7 +6,7 @@
 // journal on restart. The acceptance gate: after >= --min_kills unclean
 // daemon deaths, every session's final table CRC and interaction counters
 // must be bit-identical to an uninterrupted in-process serial run with the
-// same seed — in BOTH posting-index maintenance modes.
+// same seed.
 //
 // The workload is step-driven on purpose: queued-but-unconsumed external
 // answers/updates live only in daemon memory and are documented as
@@ -49,11 +49,9 @@ struct Baseline {
   uint32_t table_crc = 0;
 };
 
-Baseline RunSerial(const bench::Workload& w, uint64_t seed,
-                   bool posting_delta) {
+Baseline RunSerial(const bench::Workload& w, uint64_t seed) {
   SessionOptions options;
   options.seed = seed;
-  options.posting_delta = posting_delta;
   Table working = w.dirty.Clone();
   auto algorithm = MakeSearchAlgorithm(SearchKind::kCoDive);
   CleaningSession session(&w.clean, &working, algorithm.get(), options);
@@ -79,8 +77,7 @@ struct AnalystOutcome {
 /// resilient client so daemon deaths turn into resumes, not failures.
 AnalystOutcome RunAnalyst(const std::string& socket_path,
                           const std::string& dataset, double scale,
-                          uint64_t seed, bool posting_delta,
-                          int64_t step_delay_ms,
+                          uint64_t seed, int64_t step_delay_ms,
                           std::atomic<size_t>* steps_done) {
   AnalystOutcome out;
   ResilientClientOptions copts;
@@ -100,7 +97,6 @@ AnalystOutcome RunAnalyst(const std::string& socket_path,
   params.dataset = dataset;
   params.scale = scale;
   params.seed = seed;
-  params.posting_delta = posting_delta;
   auto opened = client.OpenSession(params);
   if (!opened.ok()) {
     out.error = "open: " + opened.status().ToString();
@@ -186,7 +182,7 @@ bool WaitReady(const std::string& socket) {
   return false;
 }
 
-struct ModeResult {
+struct ChaosResult {
   bool identical = true;
   size_t kills = 0;
   size_t resumes = 0;
@@ -196,16 +192,13 @@ struct ModeResult {
   std::string failure;
 };
 
-ModeResult RunChaosMode(const std::string& serverd,
-                        const std::string& socket,
-                        const std::string& journal_dir,
-                        const std::string& log_path,
-                        const bench::Workload& w, const std::string& dataset,
-                        double scale, uint64_t base_seed, size_t analysts,
-                        size_t target_kills, bool posting_delta,
-                        int64_t step_delay_ms) {
-  ModeResult result;
-  // Start from an empty journal directory: each mode is its own world.
+ChaosResult RunChaos(const std::string& serverd, const std::string& socket,
+                     const std::string& journal_dir,
+                     const std::string& log_path, const bench::Workload& w,
+                     const std::string& dataset, double scale,
+                     uint64_t base_seed, size_t analysts, size_t target_kills,
+                     int64_t step_delay_ms) {
+  ChaosResult result;
   ::mkdir(journal_dir.c_str(), 0755);
 
   // Session slots: one per analyst plus slack for sessions leaked by a
@@ -227,7 +220,7 @@ ModeResult RunChaosMode(const std::string& serverd,
   // daemon at deterministically-jittered sample points, respawn it, and
   // let startup recovery + client resumes carry the sessions across.
   std::thread killer([&] {
-    Rng rng(base_seed * 7919 + (posting_delta ? 1 : 2));
+    Rng rng(base_seed * 7919 + 1);
     while (!workload_done.load(std::memory_order_relaxed) &&
            kills.load(std::memory_order_relaxed) < target_kills) {
       // Sample a kill point: wait for fresh forward progress so every
@@ -268,7 +261,7 @@ ModeResult RunChaosMode(const std::string& serverd,
     for (size_t i = 0; i < analysts; ++i) {
       threads.emplace_back([&, i] {
         outcomes[i] = RunAnalyst(socket, dataset, scale, base_seed + i,
-                                 posting_delta, step_delay_ms, &steps_done);
+                                 step_delay_ms, &steps_done);
       });
     }
     for (auto& t : threads) t.join();
@@ -297,7 +290,7 @@ ModeResult RunChaosMode(const std::string& serverd,
                    got.error.c_str());
       continue;
     }
-    Baseline want = RunSerial(w, base_seed + i, posting_delta);
+    Baseline want = RunSerial(w, base_seed + i);
     bool same =
         got.user_updates ==
             static_cast<int64_t>(want.metrics.user_updates) &&
@@ -344,7 +337,7 @@ int main(int argc, char** argv) {
   size_t analysts = static_cast<size_t>(
       flags.GetInt("analysts", 3, "concurrent analyst clients"));
   size_t min_kills = static_cast<size_t>(flags.GetInt(
-      "min_kills", 5, "required SIGKILLs landed mid-workload per mode"));
+      "min_kills", 5, "required SIGKILLs landed mid-workload"));
   uint64_t base_seed = static_cast<uint64_t>(
       flags.GetInt("seed", 4242, "base RNG seed (analyst i uses seed+i)"));
   int64_t step_delay_ms = flags.GetInt(
@@ -381,39 +374,21 @@ int main(int argc, char** argv) {
 
   signal(SIGPIPE, SIG_IGN);
 
-  bool all_identical = true;
-  bool enough_kills = true;
-  JsonValue modes = JsonValue::Array();
-  std::printf("\n%-18s %8s %8s %8s %10s %8s %10s\n", "mode", "kills",
-              "resumes", "retries", "seq_resync", "wall_s", "identical");
-  for (bool posting_delta : {true, false}) {
-    const char* name = posting_delta ? "posting_delta" : "posting_rescan";
-    std::string journal_dir = "/tmp/falcon_chaos_" + tag + "_" + name;
-    ModeResult r = RunChaosMode(serverd, socket, journal_dir, log_path, w,
-                                dataset, dataset_scale, base_seed, analysts,
-                                min_kills, posting_delta, step_delay_ms);
-    all_identical = all_identical && r.identical;
-    enough_kills = enough_kills && r.kills >= min_kills;
-    std::printf("%-18s %8zu %8zu %8zu %10zu %8.2f %10s\n", name, r.kills,
-                r.resumes, r.retries, r.seq_resyncs, r.wall_s,
-                r.identical ? "yes" : "NO");
-    if (r.kills < min_kills) {
-      std::fprintf(stderr,
-                   "chaos (%s): only %zu/%zu kills landed before the "
-                   "workload finished — raise --scale or --analysts\n",
-                   name, r.kills, min_kills);
-    }
-
-    JsonValue mode = JsonValue::Object();
-    mode.Set("mode", std::string(name));
-    mode.Set("kills", r.kills);
-    mode.Set("resumes", r.resumes);
-    mode.Set("retries", r.retries);
-    mode.Set("seq_resyncs", r.seq_resyncs);
-    mode.Set("wall_s", r.wall_s);
-    mode.Set("identical_to_serial", r.identical);
-    if (!r.failure.empty()) mode.Set("failure", r.failure);
-    modes.Append(std::move(mode));
+  std::string journal_dir = "/tmp/falcon_chaos_" + tag + "_journals";
+  ChaosResult r =
+      RunChaos(serverd, socket, journal_dir, log_path, w, dataset,
+               dataset_scale, base_seed, analysts, min_kills, step_delay_ms);
+  bool all_identical = r.identical;
+  bool enough_kills = r.kills >= min_kills;
+  std::printf("\n%8s %8s %8s %10s %8s %10s\n", "kills", "resumes",
+              "retries", "seq_resync", "wall_s", "identical");
+  std::printf("%8zu %8zu %8zu %10zu %8.2f %10s\n", r.kills, r.resumes,
+              r.retries, r.seq_resyncs, r.wall_s, r.identical ? "yes" : "NO");
+  if (!enough_kills) {
+    std::fprintf(stderr,
+                 "chaos: only %zu/%zu kills landed before the workload "
+                 "finished — raise --scale or --analysts\n",
+                 r.kills, min_kills);
   }
 
   JsonValue doc = JsonValue::Object();
@@ -423,7 +398,12 @@ int main(int argc, char** argv) {
   doc.Set("rows", w.clean.num_rows());
   doc.Set("analysts", analysts);
   doc.Set("min_kills", min_kills);
-  doc.Set("modes", std::move(modes));
+  doc.Set("kills", r.kills);
+  doc.Set("resumes", r.resumes);
+  doc.Set("retries", r.retries);
+  doc.Set("seq_resyncs", r.seq_resyncs);
+  doc.Set("wall_s", r.wall_s);
+  if (!r.failure.empty()) doc.Set("failure", r.failure);
   doc.Set("all_identical", all_identical);
   doc.Set("enough_kills", enough_kills);
   FILE* f = std::fopen("BENCH_chaos_service.json", "w");

@@ -115,62 +115,58 @@ int main(int argc, char** argv) {
               w.errors);
 
   bool all_ok = true;
-  for (bool posting_delta : {true, false}) {
-    SessionOptions opt;
-    opt.budget = 3;
-    opt.posting_delta = posting_delta;
-    opt.update_mistake_prob = 0.2;
-    opt.question_mistake_prob = 0.05;
-    opt.journal_path = journal;
+  SessionOptions opt;
+  opt.budget = 3;
+  opt.update_mistake_prob = 0.2;
+  opt.question_mistake_prob = 0.05;
+  opt.journal_path = journal;
 
-    // FALCON_FAULTS smoke: one crash/recover with the operator-facing env
-    // arming (Global() parsed it at first use; Reset() disarms it after).
-    if (env_faults != nullptr && posting_delta) {
-      Baseline base = RunBaseline(w, opt);
-      Status armed = FaultInjector::Global().ArmFromFlag(env_faults);
-      SweepTally env_tally;
-      bool same = armed.ok() && CrashAndRecover(w, opt, base, env_tally);
-      all_ok = all_ok && same;
-      std::printf("  \"env_faults\": {\"spec\": \"%s\", \"crashed\": %zu, "
-                  "\"recovered_identical\": %s},\n",
-                  env_faults, env_tally.crashes, same ? "true" : "false");
-    }
-
+  // FALCON_FAULTS smoke: one crash/recover with the operator-facing env
+  // arming (Global() parsed it at first use; Reset() disarms it after).
+  if (env_faults != nullptr) {
     Baseline base = RunBaseline(w, opt);
-    std::printf("  \"%s\": {\n",
-                posting_delta ? "posting_delta" : "posting_invalidate");
-    std::printf("    \"baseline\": {\"user_updates\": %zu, "
-                "\"user_answers\": %zu, \"cells_repaired\": %zu, "
-                "\"queries_applied\": %zu, \"converged\": %s},\n",
-                base.metrics.user_updates, base.metrics.user_answers,
-                base.metrics.cells_repaired, base.metrics.queries_applied,
-                base.metrics.converged ? "true" : "false");
-    std::printf("    \"sites\": {\n");
-    bool first_site = true;
-    for (const auto& [site, count] : base.hits) {
-      std::set<size_t> picks = {1, count};
-      size_t stride =
-          quick ? std::max<size_t>(1, count / 4) : std::max<size_t>(1, count / 16);
-      for (size_t nth = 1; nth <= count; nth += stride) picks.insert(nth);
-      SweepTally tally;
-      bool site_ok = true;
-      for (size_t nth : picks) {
-        FaultInjector::Global().Reset();
-        FaultInjector::Global().Arm(
-            {site, nth, /*count=*/1, StatusCode::kIoError});
-        site_ok = CrashAndRecover(w, opt, base, tally) && site_ok;
-      }
-      all_ok = all_ok && site_ok;
-      std::printf("%s      \"%s\": {\"hits\": %zu, \"crash_points\": %zu, "
-                  "\"crashes\": %zu, \"recoveries\": %zu, "
-                  "\"identical\": %zu, \"recover_ms\": %.2f}",
-                  first_site ? "" : ",\n", site.c_str(), count, picks.size(),
-                  tally.crashes, tally.recoveries, tally.identical,
-                  tally.recover_ms);
-      first_site = false;
-    }
-    std::printf("\n    }\n  },\n");
+    Status armed = FaultInjector::Global().ArmFromFlag(env_faults);
+    SweepTally env_tally;
+    bool same = armed.ok() && CrashAndRecover(w, opt, base, env_tally);
+    all_ok = all_ok && same;
+    std::printf("  \"env_faults\": {\"spec\": \"%s\", \"crashed\": %zu, "
+                "\"recovered_identical\": %s},\n",
+                env_faults, env_tally.crashes, same ? "true" : "false");
   }
+
+  Baseline base = RunBaseline(w, opt);
+  std::printf("  \"sweep\": {\n");
+  std::printf("    \"baseline\": {\"user_updates\": %zu, "
+              "\"user_answers\": %zu, \"cells_repaired\": %zu, "
+              "\"queries_applied\": %zu, \"converged\": %s},\n",
+              base.metrics.user_updates, base.metrics.user_answers,
+              base.metrics.cells_repaired, base.metrics.queries_applied,
+              base.metrics.converged ? "true" : "false");
+  std::printf("    \"sites\": {\n");
+  bool first_site = true;
+  for (const auto& [site, count] : base.hits) {
+    std::set<size_t> picks = {1, count};
+    size_t stride =
+        quick ? std::max<size_t>(1, count / 4) : std::max<size_t>(1, count / 16);
+    for (size_t nth = 1; nth <= count; nth += stride) picks.insert(nth);
+    SweepTally tally;
+    bool site_ok = true;
+    for (size_t nth : picks) {
+      FaultInjector::Global().Reset();
+      FaultInjector::Global().Arm(
+          {site, nth, /*count=*/1, StatusCode::kIoError});
+      site_ok = CrashAndRecover(w, opt, base, tally) && site_ok;
+    }
+    all_ok = all_ok && site_ok;
+    std::printf("%s      \"%s\": {\"hits\": %zu, \"crash_points\": %zu, "
+                "\"crashes\": %zu, \"recoveries\": %zu, "
+                "\"identical\": %zu, \"recover_ms\": %.2f}",
+                first_site ? "" : ",\n", site.c_str(), count, picks.size(),
+                tally.crashes, tally.recoveries, tally.identical,
+                tally.recover_ms);
+    first_site = false;
+  }
+  std::printf("\n    }\n  },\n");
   std::printf("  \"all_identical\": %s\n}\n", all_ok ? "true" : "false");
   std::remove(journal.c_str());
   return all_ok ? 0 : 1;

@@ -1,16 +1,16 @@
-// Posting-index micro benchmark: delta-maintained cache vs. the legacy
-// invalidate-and-rescan mode on the lattice hot path, at Fig-8 scalability
-// sizes. Four sections:
+// Posting-index micro benchmark: the delta-maintained cache on the lattice
+// hot path, at Fig-8 scalability sizes. Four sections:
 //
 //  1. Scan-kernel time (ScanEquals): median of warm calls.
 //  2. Steady-state hot loop: repeated lattice rebuild + apply on one repair
 //     attribute with a warm cache (the regime an interactive session settles
 //     into). The index-path time (scan + delta maintenance, measured by the
-//     index's own counters) is the headline speedup: invalidation re-scans
-//     the repair column on every rebuild, delta maintenance patches bits.
-//  3. Full cleaning sessions in delta / invalidate / budgeted-eviction
-//     modes: the determinism gate. user_updates / user_answers /
-//     cells_repaired / queries_applied must be bit-identical across modes.
+//     index's own counters) is the headline speedup over an
+//     invalidate-and-rescan strawman that drops the repair column with
+//     InvalidateColumn around every write, so every rebuild re-scans it.
+//  3. Full cleaning sessions with an unbounded and a tightly budgeted
+//     cache: the determinism gate. user_updates / user_answers /
+//     cells_repaired / queries_applied must be bit-identical.
 //  4. Build scaling: BuildColumn over the bounded-domain columns at N and
 //     10N rows (10N = the bench's row count), median of 5 builds each, and
 //     a digest of the built postings (rows, form, bytes) against
@@ -55,11 +55,10 @@ struct ModeResult {
 };
 
 ModeResult RunMode(const std::string& name, const Table& clean,
-                   const Table& dirty, bool delta, size_t budget_bytes) {
+                   const Table& dirty, size_t budget_bytes) {
   SessionOptions options;
   options.budget = 1000;  // Effectively unbounded (Fig. 8 setting).
   options.max_updates = 40;
-  options.posting_delta = delta;
   options.posting_budget_bytes = budget_bytes;
   double t0 = NowMs();
   auto m = RunCleaning(clean, dirty, SearchKind::kDive, options);
@@ -99,16 +98,16 @@ struct HotLoopResult {
 };
 
 // Steady-state lattice rebuild + apply loop over one repair attribute.
-// Both modes run an untimed warm-up pass over the same cells first, so the
+// Both legs run an untimed warm-up pass over the same cells first, so the
 // timed pass measures warm-cache behaviour: with delta maintenance every
-// posting request hits and writes cost bit flips; with invalidation every
-// write voids the repair column and the next build re-scans it.
+// posting request hits and writes cost bit flips; the `invalidate`
+// strawman drops the repair column around every write, so the next build
+// re-scans it.
 HotLoopResult RunHotLoop(const Table& dirty,
-                         const std::vector<ErrorCell>& cells, bool delta) {
+                         const std::vector<ErrorCell>& cells,
+                         bool invalidate) {
   Table work = dirty.Clone();
-  PostingIndexOptions popt;
-  popt.delta_maintenance = delta;
-  PostingIndex index(&work, popt);
+  PostingIndex index(&work);
 
   // Candidate WHERE columns: a fixed slice excluding the repair column.
   // The unique key column is included, so the top node's affected set is
@@ -125,10 +124,10 @@ HotLoopResult RunHotLoop(const Table& dirty,
       // Re-dirty the cell (a fresh error arriving in the same column).
       ValueId cur = work.cell(e.row, e.col);
       if (cur != e.dirty_value) {
-        if (index.delta_maintenance()) {
-          index.ApplyCellDelta(e.col, e.row, cur, e.dirty_value);
-        } else {
+        if (invalidate) {
           index.InvalidateColumn(e.col);
+        } else {
+          index.ApplyCellDelta(e.col, e.row, cur, e.dirty_value);
         }
         work.set_cell(e.row, e.col, e.dirty_value);
       }
@@ -136,8 +135,10 @@ HotLoopResult RunHotLoop(const Table& dirty,
                  std::string(work.pool()->Get(e.clean_value))};
       auto lat = Lattice::Build(work, rep, cols, lopt);
       if (!lat.ok()) continue;
+      // The lattice owns its copies of the repair column's postings, so
+      // dropping them before the apply leaves ApplyNode nothing to patch.
+      if (invalidate) index.InvalidateColumn(e.col);
       lat->ApplyNode(lat->top(), work);
-      if (!index.delta_maintenance()) index.InvalidateColumn(e.col);
     }
   };
 
@@ -238,9 +239,9 @@ int main(int argc, char** argv) {
   double scale = bench::ParseScale(flags);
   size_t rows = static_cast<size_t>(1000000.0 * scale);
   if (bench::ParseQuick(flags)) rows = 100000;
-  if (auto rc = flags.Done("bench_micro_postings — posting-index delta vs rescan microbench")) return *rc;
+  if (auto rc = flags.Done("bench_micro_postings — delta-maintained posting index microbench")) return *rc;
   bench::PrintBanner(
-      "bench_micro_postings — delta-maintained posting index vs rescan",
+      "bench_micro_postings — delta-maintained posting index",
       "Section 5.1 hot path at Fig-8 scalability sizes");
 
   auto ds = MakeSynth(rows, 29);
@@ -301,8 +302,8 @@ int main(int argc, char** argv) {
       last_pattern = e.pattern_index;
     }
   }
-  HotLoopResult hot_delta = RunHotLoop(dirty, picks, /*delta=*/true);
-  HotLoopResult hot_inval = RunHotLoop(dirty, picks, /*delta=*/false);
+  HotLoopResult hot_delta = RunHotLoop(dirty, picks, /*invalidate=*/false);
+  HotLoopResult hot_inval = RunHotLoop(dirty, picks, /*invalidate=*/true);
   double index_speedup =
       hot_inval.index_ms / std::max(hot_delta.index_ms, 1e-6);
   std::printf(
@@ -318,39 +319,29 @@ int main(int argc, char** argv) {
               index_speedup);
 
   // --- Session comparison (determinism gate) --------------------------------
-  ModeResult delta = RunMode("delta", clean, dirty, true, 0);
-  ModeResult inval = RunMode("invalidate", clean, dirty, false, 0);
+  ModeResult unbounded = RunMode("unbounded", clean, dirty, 0);
   // Budgeted run: a deliberately tight cap to exercise LRU eviction while
   // preserving answers (evictions only cost rescans, never correctness).
-  ModeResult budget = RunMode("delta_budget", clean, dirty, true,
-                              ((rows + 63) / 64) * 8 * 12);
+  ModeResult budget =
+      RunMode("budgeted", clean, dirty, ((rows + 63) / 64) * 8 * 12);
 
-  bool identical = true;
-  for (const ModeResult* r : {&inval, &budget}) {
-    identical = identical &&
-                r->metrics.user_updates == delta.metrics.user_updates &&
-                r->metrics.user_answers == delta.metrics.user_answers &&
-                r->metrics.cells_repaired == delta.metrics.cells_repaired &&
-                r->metrics.queries_applied == delta.metrics.queries_applied;
-  }
-  double session_index_speedup = IndexMs(inval) / std::max(IndexMs(delta), 1e-6);
-  double wall_speedup = inval.wall_ms / std::max(delta.wall_ms, 1e-6);
+  bool identical =
+      budget.metrics.user_updates == unbounded.metrics.user_updates &&
+      budget.metrics.user_answers == unbounded.metrics.user_answers &&
+      budget.metrics.cells_repaired == unbounded.metrics.cells_repaired &&
+      budget.metrics.queries_applied == unbounded.metrics.queries_applied;
 
   std::printf("\n%-13s %9s %11s %10s %6s %7s %10s %7s\n", "mode", "wall(ms)",
               "index(ms)", "build(ms)", "hits", "misses", "deltarows",
               "evict");
-  for (const ModeResult* r : {&delta, &inval, &budget}) {
+  for (const ModeResult* r : {&unbounded, &budget}) {
     std::printf("%-13s %9.1f %11.3f %10.1f %6zu %7zu %10zu %7zu\n",
                 r->name.c_str(), r->wall_ms, IndexMs(*r),
                 r->metrics.lattice_build_ms, r->metrics.posting_hits,
                 r->metrics.posting_misses, r->metrics.posting_delta_rows,
                 r->metrics.posting_evictions);
   }
-  std::printf("\nsession index-path speedup (incl. cold start): %.2fx\n",
-              session_index_speedup);
-  std::printf("session wall-clock speedup:                    %.2fx\n",
-              wall_speedup);
-  std::printf("identical session metrics across modes: %s\n",
+  std::printf("\nidentical session metrics across cache budgets: %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
 
   // --- Build scaling --------------------------------------------------------
@@ -392,8 +383,7 @@ int main(int argc, char** argv) {
                  hot_delta.iters, hot_delta.index_ms, hot_inval.index_ms,
                  hot_delta.misses, hot_inval.misses, hot_delta.delta_rows);
     std::fprintf(f, "  \"modes\": {\n");
-    PrintMode(f, delta, true);
-    PrintMode(f, inval, true);
+    PrintMode(f, unbounded, true);
     PrintMode(f, budget, false);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"identical_metrics\": %s,\n",
@@ -410,11 +400,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(digests.built),
                  static_cast<unsigned long long>(digests.scanned),
                  build_identical ? "true" : "false");
-    std::fprintf(f,
-                 "  \"index_speedup\": %.2f,\n"
-                 "  \"session_index_speedup\": %.2f,\n"
-                 "  \"session_wall_speedup\": %.3f\n}\n",
-                 index_speedup, session_index_speedup, wall_speedup);
+    std::fprintf(f, "  \"index_speedup\": %.2f\n}\n", index_speedup);
     std::fclose(f);
     std::printf("wrote BENCH_micro_postings.json\n");
   }

@@ -72,23 +72,15 @@ StatusOr<Lattice> Lattice::Build(const Table& table, const Repair& repair,
 
   size_t n_nodes = lat.num_nodes();
   lat.index_ = options.naive_init ? nullptr : options.index;
-  lat.maintain_index_ = options.maintain_index;
-  lat.lazy_ = options.lazy && !options.naive_init;
+  lat.naive_init_ = options.naive_init;
   lat.affected_.resize(n_nodes);
   lat.validity_.assign(n_nodes, Validity::kUnknown);
 
-  // Bottom node + predicate bitmaps: the only set algebra a lazy build
-  // pays. The counts come with the first Count, node bitmaps on demand.
+  // Bottom node + predicate bitmaps: the only set algebra a build pays.
+  // The counts come with the first Count, node bitmaps on demand.
   lat.InitBottomAndPreds(table);
   lat.resident_ = {0};
-
-  if (options.naive_init) {
-    lat.InitAffectedNaive(table);
-    lat.FinishEagerInit();
-  } else if (!lat.lazy_) {
-    lat.EagerChain();
-    lat.FinishEagerInit();
-  }
+  if (lat.naive_init_) lat.InitAffectedNaive(table);
   return lat;
 }
 
@@ -141,19 +133,12 @@ void Lattice::CheckBorrowed() const {
   }
 }
 
-void Lattice::EagerChain() {
-  // View rewriting: each node's set is its (mask without lowest bit)
-  // parent's set restricted by one more predicate — a single AND.
-  for (NodeId m = 1; m < num_nodes(); ++m) {
-    NodeId parent = m & (m - 1);
-    int bit = std::countr_zero(m);
-    affected_[m].AssignAnd(affected_[parent], preds_[static_cast<size_t>(bit)]);
-  }
-}
-
 void Lattice::InitAffectedNaive(const Table& table) {
   // The "execute one SQLU query per node" strawman of Section 5.1.2.
-  for (NodeId m = 0; m < num_nodes(); ++m) {
+  const size_t n_nodes = num_nodes();
+  counts_.resize(n_nodes);
+  resident_.resize(n_nodes);
+  for (NodeId m = 0; m < n_nodes; ++m) {
     RowSet rows(num_table_rows_);
     for (size_t r = 0; r < num_table_rows_; ++r) {
       if (table.cell(r, repair_.col) == target_value_) continue;
@@ -168,16 +153,8 @@ void Lattice::InitAffectedNaive(const Table& table) {
       }
       if (match) rows.Set(r);
     }
+    counts_[m] = rows.Count();
     affected_[m] = std::move(rows);
-  }
-}
-
-void Lattice::FinishEagerInit() {
-  size_t n_nodes = num_nodes();
-  counts_.resize(n_nodes);
-  resident_.resize(n_nodes);
-  for (NodeId m = 0; m < n_nodes; ++m) {
-    counts_[m] = affected_[m].Count();
     resident_[m] = m;
   }
 }
@@ -251,7 +228,7 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
   // Delta-maintain the posting cache while the old values are still in the
   // table: each written row leaves its old value's bitmap and joins the
   // target value's. The cache then survives the write with no rescans.
-  if (index_ != nullptr && maintain_index_ && index_->delta_maintenance()) {
+  if (index_ != nullptr) {
     index_->ApplyDelta(
         repair_.col, changed,
         [&](size_t r) { return table.cell(r, repair_.col); }, target_value_);
@@ -295,21 +272,17 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
   // must still be the pre-write ones: the repaired column's predicate
   // changes on exactly the changed rows.
   std::vector<size_t> delta;
-  if (lazy_ && !counts_.empty()) {
+  if (!counts_.empty()) {
     delta.assign(num_nodes(), 0);
     KernelCounts(changed, &touched, delta.data());
     for (NodeId m = 0; m < num_nodes(); ++m) counts_[m] -= delta[m];
   }
   // Resident bitmaps lose the same rows: one AND-NOT over the touched
-  // words, clearing exactly the bits the delta counted. The eager
-  // reference path counts by these popcounts instead.
+  // words, clearing exactly the bits the delta counted.
   for (NodeId m : resident_) {
-    size_t cleared = affected_[m].AndNotCountAt(changed, touched);
-    if (!lazy_) {
-      counts_[m] -= cleared;
-    } else {
-      FALCON_DCHECK(delta.empty() || cleared == delta[m]);
-    }
+    [[maybe_unused]] size_t cleared =
+        affected_[m].AndNotCountAt(changed, touched);
+    FALCON_DCHECK(delta.empty() || cleared == delta[m]);
   }
 
   // Maintain the predicate bitmaps for attributes over the repaired
@@ -342,19 +315,14 @@ RowSet Lattice::ApplyNode(NodeId n, Table& table, Status* fault) {
 }
 
 void Lattice::RecomputeAffected(const Table& table) {
-  if (lazy_) {
-    // Lazy rebuild: drop every node bitmap but the bottom and the counts,
-    // and refetch the bottom and predicate bitmaps from the (possibly
-    // externally modified) table; later accesses recount and rebuild
-    // against the new contents.
-    for (NodeId m : resident_) affected_[m] = RowSet();
-    resident_ = {0};
-    counts_.clear();
-    InitBottomAndPreds(table);
+  for (NodeId m : resident_) affected_[m] = RowSet();
+  resident_ = {0};
+  InitBottomAndPreds(table);
+  if (naive_init_) {
+    InitAffectedNaive(table);
   } else {
-    InitBottomAndPreds(table);
-    EagerChain();
-    FinishEagerInit();
+    counts_.assign(num_nodes(), 0);
+    KernelCounts(affected_[0], nullptr, counts_.data());
   }
 }
 

@@ -27,8 +27,11 @@
 // words. Closed rule sets (Section 5.2) read the counts: a node's
 // representative adds every attribute whose child keeps the node's count.
 //
-// LatticeOptions::lazy = false keeps the eager reference path: every
-// bitmap is built up front and every count is a popcount of its bitmap.
+// LatticeOptions::naive_init keeps the paper's strawman: every node's set
+// is filled by a row loop over its conjunction and counted by popcount, all
+// resident from the build on. With SessionOptions::naive_maintenance
+// (RecomputeAffected after every applied rule) and no posting index it is
+// the reference path the differential tests compare sessions against.
 #ifndef FALCON_CORE_LATTICE_H_
 #define FALCON_CORE_LATTICE_H_
 
@@ -65,28 +68,20 @@ struct LatticeOptions {
   /// Appendix B (master data) variant: the updated attribute itself may not
   /// appear in WHERE clauses.
   bool exclude_target_attr = false;
-  /// Benchmark toggle: initialize each node's affected set by a full
-  /// conjunction scan instead of the bottom-up view rewriting. Implies
-  /// eager materialization.
+  /// The strawman init of Section 5.1.2 (one query per node): fill every
+  /// node's affected set by a row loop over its conjunction and count it
+  /// by popcount, every bitmap resident. Ignores `index`.
   bool naive_init = false;
   /// Optional posting cache for predicate bitmaps (non-owning). Ignored by
   /// naive_init. A dense posting of a column other than the repaired one
   /// is read in place (borrowed) for the lattice's lifetime, so no column
   /// it borrows may be written while the lattice is in use; array
-  /// postings are scattered into bitmaps the lattice owns. When the index
-  /// runs in delta-maintenance mode, ApplyNode patches its postings in
-  /// place (see maintain_index); otherwise the caller must invalidate
-  /// updated columns.
+  /// postings are scattered into bitmaps the lattice owns. ApplyNode
+  /// reports each query's writes to the index as deltas, so it stays exact.
   PostingIndex* index = nullptr;
-  /// Keep the posting index exact across ApplyNode by reporting each
-  /// query's writes as deltas (only meaningful when the index is in
-  /// delta-maintenance mode). Off reverts to caller-side invalidation.
-  bool maintain_index = true;
-  /// Count every node with the blocked kernel and build a node's bitmap
-  /// only when its rows are needed (the default). Off forces the eager
-  /// reference build — every node's bitmap up front, counts by popcount —
-  /// kept for A/B benchmarks and the lazy≡eager equivalence tests. Either
-  /// way accessors return identical bits and counts.
+  /// Read by nothing: every lattice but a naive_init one is lazy. Kept
+  /// only because perfbench/src/engine.cc sets it; it goes with the next
+  /// change to perfbench.
   bool lazy = true;
 };
 
@@ -142,12 +137,11 @@ class Lattice {
   // --- Affected sets ---------------------------------------------------------
 
   /// Node `n`'s affected rows, built on first access from the largest
-  /// resident subset of n and kept for the lattice's lifetime. Bits are
-  /// identical to an eager build's.
+  /// resident subset of n and kept for the lattice's lifetime.
   const RowSet& AffectedRows(NodeId n) const;
 
   /// |AffectedRows(n)|. The first call counts every node in one kernel
-  /// pass (lazy mode); later calls are lookups. Never builds a bitmap.
+  /// pass; later calls are lookups. Never builds a bitmap.
   size_t Count(NodeId n) const;
 
   /// Legacy accessor names (aliases of AffectedRows/Count).
@@ -164,7 +158,6 @@ class Lattice {
     size_t nodes_materialized = 0;  ///< Node bitmaps resident.
   };
   LazyStats lazy_stats() const { return {resident_.size()}; }
-  bool lazy() const { return lazy_; }
 
   // --- Validity and inference ------------------------------------------------
 
@@ -211,11 +204,11 @@ class Lattice {
     return maintenance_stats_;
   }
 
-  /// Benchmark/naive path: recomputes every affected set from the current
-  /// table contents (what a from-scratch rebuild would do). In lazy mode
-  /// this drops every resident node bitmap and the counts and refetches the
-  /// bottom/predicate bitmaps; accesses then recount and rebuild against
-  /// the new table contents.
+  /// Naive maintenance (Fig. 8a's strawman): recomputes every affected set
+  /// from the current table contents under the original bindings, at once.
+  /// A naive_init lattice re-runs its row loop over every node; any other
+  /// drops its node bitmaps, refetches the bottom and predicate bitmaps and
+  /// recounts every node in one full kernel pass.
   void RecomputeAffected(const Table& table);
 
   // --- Query materialization ---------------------------------------------------
@@ -249,12 +242,9 @@ class Lattice {
   /// non-repaired columns borrowed, the rest owned copies), else owned
   /// column scans.
   void InitBottomAndPreds(const Table& table);
-  /// Eager view rewriting: materializes every node bottom-up (one AND per
-  /// node off the lowest-set-bit parent).
-  void EagerChain();
+  /// naive_init: fills every node's bitmap by a row loop, marks it
+  /// resident and counts it by popcount.
   void InitAffectedNaive(const Table& table);
-  /// Marks every node resident and counts it by popcount (eager init).
-  void FinishEagerInit();
   /// Runs the lattice_counts kernel with `base` over `words` (null: all
   /// words), adding into `out` (2^k entries).
   void KernelCounts(const RowSet& base, const std::vector<uint32_t>* words,
@@ -270,8 +260,7 @@ class Lattice {
   ValueId target_value_ = kNullValueId;
   size_t num_table_rows_ = 0;
   PostingIndex* index_ = nullptr;
-  bool maintain_index_ = true;
-  bool lazy_ = true;
+  bool naive_init_ = false;
 
   /// Per-attribute predicate bitmaps. Attribute i reads either a bitmap
   /// the lattice owns or, borrowed, the dense posting the index holds for
@@ -326,7 +315,7 @@ class Lattice {
   // state was resident beforehand. An empty set (universe 0 ≠
   // num_table_rows_) marks "not materialized"; resident_ lists every
   // materialized node, so ApplyNode maintains only those. counts_ is empty
-  // until the first Count (lazy mode) and then holds all 2^k counts.
+  // until the first Count and then holds all 2^k counts.
   mutable std::vector<RowSet> affected_;
   mutable std::vector<NodeId> resident_;
   mutable std::vector<size_t> counts_;

@@ -58,20 +58,15 @@ class RepairLog {
   /// FailedPrecondition when any *later* entry overlaps entry i's cells:
   /// undoing out of order would resurrect a value the later repair already
   /// replaced, so overlapping entries must be retracted newest-first.
-  /// When `posting` is non-null the reversal is fed through the index —
-  /// per-cell deltas in delta-maintenance mode, column invalidation
-  /// otherwise — so cached bitmaps stay consistent with the table.
+  /// When `posting` is non-null the reversal is fed through the index as
+  /// per-cell deltas, so cached bitmaps stay consistent with the table.
   Status Undo(size_t i, Table& table, PostingIndex* posting = nullptr) {
     FALCON_RETURN_IF_ERROR(CanUndo(i));
     const Entry& e = entries_[i];
     for (const auto& [row, value] : e.before) {
       ValueId current = table.cell(row, e.col);
       if (posting != nullptr && current != value) {
-        if (posting->delta_maintenance()) {
-          posting->ApplyCellDelta(e.col, row, current, value);
-        } else {
-          posting->InvalidateColumn(e.col);
-        }
+        posting->ApplyCellDelta(e.col, row, current, value);
       }
       table.set_cell(row, e.col, value);
     }

@@ -95,13 +95,8 @@ RowSet LatticeSearchContext::ApplyValid(NodeId n) {
   }
   if (naive_maintenance_) {
     // Fig. 8(a)'s strawman: throw the incremental result away and rebuild
-    // every affected set from the table. In delta mode ApplyNode already
-    // patched the cached postings; otherwise the target column's entries
-    // are stale and must be dropped before the rescan.
-    if (lattice_->index() != nullptr &&
-        !lattice_->index()->delta_maintenance()) {
-      lattice_->index()->InvalidateColumn(lattice_->target_col());
-    }
+    // every affected set from the table (ApplyNode already patched the
+    // cached postings).
     lattice_->RecomputeAffected(*dirty_);
   }
   auto t1 = std::chrono::steady_clock::now();

@@ -127,7 +127,6 @@ Status CleaningSession::Start(bool fresh) {
   }
 
   PostingIndexOptions posting_options;
-  posting_options.delta_maintenance = options_.posting_delta;
   posting_options.byte_budget = options_.posting_budget_bytes;
   posting_options.compressed = options_.compressed_rowsets;
   posting_index_ = std::make_unique<PostingIndex>(dirty_, posting_options);
@@ -469,11 +468,8 @@ Status CleaningSession::RetractRule(size_t i) {
 
 StatusOr<SessionMetrics> CleaningSession::MainLoop(size_t max_episodes) {
   auto on_apply = [this](const RowSet& changed, size_t col) {
-    // In delta mode the lattice already patched the cached postings while
-    // it held the before-images; only the legacy mode must rescan.
-    if (!posting_index_->delta_maintenance()) {
-      posting_index_->InvalidateColumn(col);
-    }
+    // The lattice already patched the cached postings while it held the
+    // before-images.
     changed.ForEach([&](size_t r) {
       if (dirty_->cell(r, col) != clean_->cell(r, col)) {
         worklist_.emplace_back(static_cast<uint32_t>(r),
@@ -662,12 +658,8 @@ StatusOr<SessionMetrics> CleaningSession::MainLoop(size_t max_episodes) {
       log_.Record(lattice.NodeQuery(lattice.top()), col, {{row, old_value}},
                   /*manual=*/true);
       dirty_->set_cell(row, col, lattice.target_value());
-      if (posting_index_->delta_maintenance()) {
-        posting_index_->ApplyCellDelta(col, row, old_value,
-                                       lattice.target_value());
-      } else {
-        posting_index_->InvalidateColumn(col);
-      }
+      posting_index_->ApplyCellDelta(col, row, old_value,
+                                     lattice.target_value());
       if (dirty_->cell(row, col) == clean_->cell(row, col)) {
         ++metrics_.cells_repaired;
       } else {

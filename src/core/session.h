@@ -57,11 +57,6 @@ struct SessionOptions {
   size_t profile_sample_rows = 5000;
   /// Cache predicate posting bitmaps across lattices.
   bool use_posting_index = true;
-  /// Delta-maintain the cached postings across applied repairs (each write
-  /// patches the old/new value's postings in place), so the cache survives
-  /// the whole session. Off reverts to invalidate-and-rescan of the
-  /// repaired column after every applied rule.
-  bool posting_delta = true;
   /// Posting-cache byte cap (0 = unbounded). Least-recently-used bitmaps
   /// are evicted between lattice episodes so million-row tables don't
   /// hoard memory.

@@ -27,14 +27,12 @@
 // bounded share of the cache however many values a column has, and a
 // key-like miss caches a few ids instead of a whole bitmap.
 //
-// Two maintenance modes:
-//  - delta (default): callers that know exactly which rows changed and the
-//    old/new value report them via ApplyDelta/ApplyCellDelta; the cache
-//    stays exact across an entire cleaning session — dense postings are
-//    patched bit by bit, array postings by one sorted merge per delta,
-//    instead of being rebuilt by full-table rescans.
-//  - invalidate (legacy): InvalidateColumn drops a column's entries after
-//    any write to it; the next Postings call rebuilds or rescans.
+// Maintenance: every writer reports exactly which rows changed and their
+// old/new values via ApplyDelta/ApplyCellDelta, so the cache stays exact
+// across an entire cleaning session — dense postings are patched bit by
+// bit, array postings by one sorted merge per delta, instead of being
+// rebuilt by full-table rescans. InvalidateColumn drops a column's entries
+// outright; the next Postings call rebuilds or rescans it.
 //
 // Memory is bounded by an optional byte budget with LRU eviction. Eviction
 // is deferred to explicit Trim() calls so that references returned by
@@ -59,9 +57,6 @@ namespace falcon {
 class ThreadPool;
 
 struct PostingIndexOptions {
-  /// Maintain cached postings in place on cell updates (ApplyDelta) instead
-  /// of requiring column invalidation.
-  bool delta_maintenance = true;
   /// Cache size cap in bytes (0 = unbounded). Enforced by Trim(), which
   /// evicts least-recently-used entries.
   size_t byte_budget = 0;
@@ -168,8 +163,6 @@ class PostingIndex {
   PostingIndex(const PostingIndex&) = delete;
   PostingIndex& operator=(const PostingIndex&) = delete;
 
-  bool delta_maintenance() const { return options_.delta_maintenance; }
-
   /// Rows where `col` equals `v`. A hit serves the cached posting. A miss
   /// builds the whole column when this is the first miss on a
   /// bounded-domain column, and otherwise scans for `v` alone (see the
@@ -195,8 +188,8 @@ class PostingIndex {
   /// new row ids are ascending, so each joins its array posting by one
   /// push_back; only dense postings grow their universe. Every posting's
   /// form is then re-checked against the grown row count. O(batch +
-  /// entries + dense words), not O(table). Exact in both maintenance
-  /// modes: growth is a pure extension, never an in-place rewrite.
+  /// entries + dense words), not O(table): growth is a pure extension,
+  /// never an in-place rewrite.
   void ApplyAppend(size_t old_rows);
 
   /// Delta maintenance: the caller wrote `new_value` into every row of
@@ -238,7 +231,7 @@ class PostingIndex {
   void ApplyCellDelta(size_t col, size_t row, ValueId old_value,
                       ValueId new_value);
 
-  /// Drops cached postings of `col` (legacy invalidate-and-rescan mode).
+  /// Drops cached postings of `col`; its next miss rebuilds or rescans.
   void InvalidateColumn(size_t col);
 
   void InvalidateAll();

@@ -65,42 +65,6 @@ StatusOr<uint64_t> ReadIndexField(const JsonValue& request, const char* key,
 /// carry: what a JSON integer (int64) holds.
 constexpr uint64_t kMaxIndex = std::numeric_limits<int64_t>::max();
 
-/// Reads open_session's numeric fields into `params`: the one place they
-/// are checked. An absent field keeps its default; a present one must be a
-/// number. `seed` and `budget` go through ReadIndexField, so a fraction, a
-/// negative value or one past int64 is refused rather than truncated or
-/// wrapped. A mistake probability must be a finite value in [0, 1]. The
-/// scale's range is checked where the workload is built
-/// (MakeCleaningWorkload).
-Status ReadOpenNumbers(const JsonValue& request,
-                       SessionManager::OpenParams* params) {
-  for (const char* key : {"scale", "question_mistake_prob",
-                          "update_mistake_prob"}) {
-    const JsonValue* v = request.Find(key);
-    if (v != nullptr && !v->is_number()) {
-      return Status::InvalidArgument(std::string(key) + " must be a number");
-    }
-  }
-  params->scale = request.GetDouble("scale", params->scale);
-  auto seed = ReadIndexField(request, "seed", kMaxIndex, params->seed);
-  if (!seed.ok()) return seed.status();
-  params->seed = *seed;
-  auto budget = ReadIndexField(request, "budget", kMaxIndex, params->budget);
-  if (!budget.ok()) return budget.status();
-  params->budget = static_cast<size_t>(*budget);
-  for (auto [key, out] :
-       {std::pair{"question_mistake_prob", &params->question_mistake_prob},
-        std::pair{"update_mistake_prob", &params->update_mistake_prob}}) {
-    double p = request.GetDouble(key, *out);
-    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
-      return Status::InvalidArgument(std::string(key) +
-                                     " must be a finite value in [0, 1]");
-    }
-    *out = p;
-  }
-  return Status::Ok();
-}
-
 /// Optional idempotency sequence number (absent / 0 = legacy path).
 StatusOr<uint64_t> SeqField(const JsonValue& request) {
   return ReadIndexField(request, "seq", kMaxIndex, 0);
@@ -125,16 +89,9 @@ JsonValue HandleOpen(SessionManager& manager, const JsonValue& request) {
     return r;
   }
 
-  SessionManager::OpenParams params;
-  Status numbers = ReadOpenNumbers(request, &params);
-  if (!numbers.ok()) return ErrorResponse(numbers);
-  params.dataset = request.GetString("dataset", params.dataset);
-  params.algorithm = request.GetString("algorithm", params.algorithm);
-  params.posting_delta = request.GetBool("posting_delta", params.posting_delta);
-  params.compressed_rowsets =
-      request.GetBool("compressed_rowsets", params.compressed_rowsets);
-
-  auto id = manager.Open(params);
+  auto params = DecodeOpenParams(request);
+  if (!params.ok()) return ErrorResponse(params.status());
+  auto id = manager.Open(*params);
   if (!id.ok()) return ErrorResponse(id.status());
   JsonValue r = OkResponse();
   r.Set("session", *id);
@@ -239,6 +196,40 @@ JsonValue HandleClose(SessionManager& manager, const JsonValue& request) {
 }
 
 }  // namespace
+
+StatusOr<SessionManager::OpenParams> DecodeOpenParams(
+    const JsonValue& fields) {
+  SessionManager::OpenParams params;
+  for (const char* key : {"scale", "question_mistake_prob",
+                          "update_mistake_prob"}) {
+    const JsonValue* v = fields.Find(key);
+    if (v != nullptr && !v->is_number()) {
+      return Status::InvalidArgument(std::string(key) + " must be a number");
+    }
+  }
+  params.scale = fields.GetDouble("scale", params.scale);
+  auto seed = ReadIndexField(fields, "seed", kMaxIndex, params.seed);
+  if (!seed.ok()) return seed.status();
+  params.seed = *seed;
+  auto budget = ReadIndexField(fields, "budget", kMaxIndex, params.budget);
+  if (!budget.ok()) return budget.status();
+  params.budget = static_cast<size_t>(*budget);
+  for (auto [key, out] :
+       {std::pair{"question_mistake_prob", &params.question_mistake_prob},
+        std::pair{"update_mistake_prob", &params.update_mistake_prob}}) {
+    double p = fields.GetDouble(key, *out);
+    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+      return Status::InvalidArgument(std::string(key) +
+                                     " must be a finite value in [0, 1]");
+    }
+    *out = p;
+  }
+  params.dataset = fields.GetString("dataset", params.dataset);
+  params.algorithm = fields.GetString("algorithm", params.algorithm);
+  params.compressed_rowsets =
+      fields.GetBool("compressed_rowsets", params.compressed_rowsets);
+  return params;
+}
 
 JsonValue ErrorResponse(const Status& status, int64_t retry_after_ms) {
   JsonValue r = JsonValue::Object();

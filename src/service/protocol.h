@@ -8,7 +8,7 @@
 //
 // Verbs:
 //   open_session  {dataset, scale, seed, budget, question_mistake_prob,
-//                  update_mistake_prob, algorithm, posting_delta}
+//                  update_mistake_prob, algorithm, compressed_rowsets}
 //                                                  → {session}
 //                  (numeric fields must be numbers; budget >= 0 and both
 //                  mistake probabilities finite in [0, 1], else
@@ -68,6 +68,16 @@ JsonValue ErrorResponse(const Status& status, int64_t retry_after_ms = 0);
 
 /// Serializes a session snapshot into the response's status body.
 JsonValue StatusBody(const SessionStatus& st);
+
+/// Decodes open_session's parameters: the one decoder for the request and
+/// for the `<id>.meta` sidecar recovery reads back, which carries the same
+/// fields. An absent field keeps its default and an unknown key is
+/// ignored. `scale` and the mistake probabilities must be numbers; `seed`
+/// and `budget` must be integers in [0, 2^63), so a fraction, a negative
+/// value or one past int64 is refused rather than truncated or wrapped; a
+/// mistake probability must be a finite value in [0, 1]. The scale's range
+/// is checked where the workload is built (MakeCleaningWorkload).
+StatusOr<SessionManager::OpenParams> DecodeOpenParams(const JsonValue& fields);
 
 }  // namespace falcon
 

@@ -144,7 +144,6 @@ StatusOr<std::string> ResilientClient::OpenSession(
   req.Set("question_mistake_prob", params.question_mistake_prob);
   req.Set("update_mistake_prob", params.update_mistake_prob);
   req.Set("algorithm", params.algorithm);
-  req.Set("posting_delta", params.posting_delta);
   FALCON_ASSIGN_OR_RETURN(JsonValue resp,
                           CallResilient(std::move(req), /*mutating=*/false));
   session_id_ = resp.GetString("session");

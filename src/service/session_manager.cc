@@ -14,6 +14,7 @@
 #include "common/fault_injector.h"
 #include "common/json.h"
 #include "core/session_journal.h"
+#include "service/protocol.h"
 
 namespace falcon {
 namespace {
@@ -240,7 +241,6 @@ SessionManager::Build(const OpenParams& params, const std::string& id) {
   options.seed = params.seed;
   options.question_mistake_prob = params.question_mistake_prob;
   options.update_mistake_prob = params.update_mistake_prob;
-  options.posting_delta = params.posting_delta;
   options.compressed_rowsets = params.compressed_rowsets;
   options.oracle = s->oracle.get();
   if (limits_.posting_budget_bytes > 0) {
@@ -267,7 +267,6 @@ Status SessionManager::WriteMeta(const ServiceSession& s) {
   meta.Set("question_mistake_prob", s.params.question_mistake_prob);
   meta.Set("update_mistake_prob", s.params.update_mistake_prob);
   meta.Set("algorithm", s.params.algorithm);
-  meta.Set("posting_delta", s.params.posting_delta);
   meta.Set("compressed_rowsets", s.params.compressed_rowsets);
   FALCON_RETURN_IF_ERROR(
       WriteFileDurable(MetaPath(s.id), meta.Serialize() + "\n"));
@@ -349,24 +348,15 @@ StatusOr<std::string> SessionManager::RecoverOne(const std::string& id) {
     release();
     return meta_or.status();
   }
-  JsonValue meta = std::move(meta_or).value();
-  OpenParams params;
-  params.dataset = meta.GetString("dataset", params.dataset);
-  params.scale = meta.GetDouble("scale", params.scale);
-  params.seed = static_cast<uint64_t>(
-      meta.GetInt("seed", static_cast<int64_t>(params.seed)));
-  params.budget = static_cast<size_t>(
-      meta.GetInt("budget", static_cast<int64_t>(params.budget)));
-  params.question_mistake_prob =
-      meta.GetDouble("question_mistake_prob", params.question_mistake_prob);
-  params.update_mistake_prob =
-      meta.GetDouble("update_mistake_prob", params.update_mistake_prob);
-  params.algorithm = meta.GetString("algorithm", params.algorithm);
-  params.posting_delta = meta.GetBool("posting_delta", params.posting_delta);
-  params.compressed_rowsets =
-      meta.GetBool("compressed_rowsets", params.compressed_rowsets);
+  // The meta carries open_session's fields, so it goes through the same
+  // decoder and the same checks.
+  StatusOr<OpenParams> params = DecodeOpenParams(meta_or.value());
+  if (!params.ok()) {
+    release();
+    return params.status();
+  }
 
-  StatusOr<std::shared_ptr<ServiceSession>> built = Build(params, id);
+  StatusOr<std::shared_ptr<ServiceSession>> built = Build(*params, id);
   if (!built.ok()) {
     release();
     return built.status();

@@ -145,10 +145,6 @@ class SessionManager {
     double question_mistake_prob = 0.0;
     double update_mistake_prob = 0.0;
     std::string algorithm = "CoDive";
-    /// Delta-maintain cached postings across repairs (SessionOptions::
-    /// posting_delta); exposed so both posting modes are exercisable over
-    /// the wire.
-    bool posting_delta = true;
     /// Posting storage (SessionOptions::compressed_rowsets: sparse
     /// postings as row-id arrays, or all dense); exposed so both modes
     /// are exercisable over the wire.

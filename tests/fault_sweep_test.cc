@@ -3,8 +3,8 @@
 // recover from the journal, and require the recovered run to be
 // bit-identical to the uninterrupted baseline — same table contents (CRC
 // over all cell text) and same interaction counters (user_updates,
-// user_answers, cells_repaired, queries_applied) — in both posting-index
-// maintenance modes. Plus the session-level rule-retraction properties.
+// user_answers, cells_repaired, queries_applied). Plus the session-level
+// rule-retraction properties.
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -47,10 +47,9 @@ Workload MakeWorkload(size_t rows) {
   return {ds->clean.Clone(), dirty->dirty.Clone(), dirty->errors.size()};
 }
 
-SessionOptions SweepOptions(bool posting_delta, const std::string& journal) {
+SessionOptions SweepOptions(const std::string& journal) {
   SessionOptions opt;
   opt.budget = 3;
-  opt.posting_delta = posting_delta;
   // Mistakes exercise the replay-override paths: journaled wrong updates
   // and flipped oracle verdicts must reproduce even though recovery's RNGs
   // are re-seeded and replayed from the start.
@@ -121,13 +120,11 @@ void CrashAndRecover(const Workload& w, const SessionOptions& opt,
   ExpectMatchesBaseline(*recovered, TableContentsCrc(dirty), base);
 }
 
-void SweepMode(bool posting_delta) {
-  SCOPED_TRACE(posting_delta ? "posting_delta" : "posting_invalidate");
+TEST(FaultSweepTest, EveryCrashPointRecoversBitIdentical) {
   Workload w = MakeWorkload(120);
   ASSERT_GT(w.errors, 0u);
-  std::string journal = testing::TempDir() + "/fault_sweep_" +
-                        (posting_delta ? "delta" : "inval") + ".journal";
-  SessionOptions opt = SweepOptions(posting_delta, journal);
+  std::string journal = testing::TempDir() + "/fault_sweep.journal";
+  SessionOptions opt = SweepOptions(journal);
   Baseline base = RunBaseline(w, opt);
 
   // Every instrumented site must show up in the discovery pass, or the
@@ -150,20 +147,12 @@ void SweepMode(bool posting_delta) {
   }
 }
 
-TEST(FaultSweepTest, EveryCrashPointRecoversBitIdenticalDeltaMode) {
-  SweepMode(/*posting_delta=*/true);
-}
-
-TEST(FaultSweepTest, EveryCrashPointRecoversBitIdenticalInvalidateMode) {
-  SweepMode(/*posting_delta=*/false);
-}
-
 TEST(FaultSweepTest, JournalingIsBehaviorNeutral) {
   // Turning the journal on must not change a single interaction: the
   // write-ahead records observe the run, never steer it.
   Workload w = MakeWorkload(200);
   std::string journal = testing::TempDir() + "/neutral.journal";
-  SessionOptions with = SweepOptions(true, journal);
+  SessionOptions with = SweepOptions(journal);
   SessionOptions without = with;
   without.journal_path.clear();
   auto mj = RunCleaning(w.clean, w.dirty, SearchKind::kDive, with);
@@ -183,7 +172,7 @@ TEST(FaultSweepTest, RecoverReplaysACompletedRunToTheSameOutcome) {
   // the replay must land on exactly the same counters and table.
   Workload w = MakeWorkload(150);
   std::string journal = testing::TempDir() + "/completed.journal";
-  SessionOptions opt = SweepOptions(true, journal);
+  SessionOptions opt = SweepOptions(journal);
   Baseline base = RunBaseline(w, opt);
 
   Table dirty = w.dirty.Clone();
@@ -204,7 +193,7 @@ TEST(FaultSweepTest, RecoverWithoutAJournalIsAPlainRun) {
   Workload w = MakeWorkload(150);
   std::string journal = testing::TempDir() + "/never_written.journal";
   std::remove(journal.c_str());
-  SessionOptions opt = SweepOptions(true, journal);
+  SessionOptions opt = SweepOptions(journal);
   Table dirty = w.dirty.Clone();
   auto algo = MakeSearchAlgorithm(SearchKind::kDive);
   CleaningSession session(&w.clean, &dirty, algo.get(), opt);
@@ -218,7 +207,7 @@ TEST(FaultSweepTest, RecoverRejectsAForeignJournal) {
   // shape must be refused, not replayed into the wrong table.
   Workload w = MakeWorkload(150);
   std::string journal = testing::TempDir() + "/foreign.journal";
-  SessionOptions opt = SweepOptions(true, journal);
+  SessionOptions opt = SweepOptions(journal);
   RunBaseline(w, opt);  // Leaves a completed journal for seed 1234.
 
   SessionOptions other = opt;
@@ -236,7 +225,7 @@ TEST(FaultSweepTest, TransientOracleOutagesAreRetriedNotFatal) {
   // run completes with baseline-identical interaction counters.
   Workload w = MakeWorkload(120);
   std::string journal = testing::TempDir() + "/transient.journal";
-  SessionOptions opt = SweepOptions(true, journal);
+  SessionOptions opt = SweepOptions(journal);
   Baseline base = RunBaseline(w, opt);
 
   FaultInjector::Global().Reset();
@@ -256,7 +245,7 @@ TEST(FaultSweepTest, ExhaustedOracleRetriesSurfaceTheOutage) {
   // must abort with kUnavailable (and stay recoverable), never loop.
   Workload w = MakeWorkload(120);
   std::string journal = testing::TempDir() + "/outage.journal";
-  SessionOptions opt = SweepOptions(true, journal);
+  SessionOptions opt = SweepOptions(journal);
   Baseline base = RunBaseline(w, opt);
 
   FaultInjector::Global().Reset();
@@ -282,84 +271,78 @@ TEST(FaultSweepTest, ExhaustedOracleRetriesSurfaceTheOutage) {
 // Session-level rule retraction.
 
 TEST(RetractionTest, RetractRestoresExactlyTheRulesCells) {
-  for (bool delta : {true, false}) {
-    SCOPED_TRACE(delta ? "delta" : "invalidate");
-    Workload w = MakeWorkload(150);
-    std::string journal = testing::TempDir() + "/retract_cells.journal";
-    SessionOptions opt = SweepOptions(delta, journal);
-    Table dirty = w.dirty.Clone();
-    auto algo = MakeSearchAlgorithm(SearchKind::kDive);
-    CleaningSession session(&w.clean, &dirty, algo.get(), opt);
-    auto m = session.Run();
-    ASSERT_TRUE(m.ok()) << m.status();
-    ASSERT_FALSE(session.log().empty());
+  Workload w = MakeWorkload(150);
+  std::string journal = testing::TempDir() + "/retract_cells.journal";
+  SessionOptions opt = SweepOptions(journal);
+  Table dirty = w.dirty.Clone();
+  auto algo = MakeSearchAlgorithm(SearchKind::kDive);
+  CleaningSession session(&w.clean, &dirty, algo.get(), opt);
+  auto m = session.Run();
+  ASSERT_TRUE(m.ok()) << m.status();
+  ASSERT_FALSE(session.log().empty());
 
-    // The newest entry is always undoable; snapshot it and the table.
-    size_t i = session.log().size() - 1;
-    RepairLog::Entry entry = session.log().entries()[i];
-    std::vector<std::vector<std::string>> snapshot(dirty.num_rows());
-    for (size_t r = 0; r < dirty.num_rows(); ++r) {
-      for (size_t c = 0; c < dirty.num_cols(); ++c) {
-        snapshot[r].emplace_back(dirty.CellText(r, c));
-      }
+  // The newest entry is always undoable; snapshot it and the table.
+  size_t i = session.log().size() - 1;
+  RepairLog::Entry entry = session.log().entries()[i];
+  std::vector<std::vector<std::string>> snapshot(dirty.num_rows());
+  for (size_t r = 0; r < dirty.num_rows(); ++r) {
+    for (size_t c = 0; c < dirty.num_cols(); ++c) {
+      snapshot[r].emplace_back(dirty.CellText(r, c));
     }
-
-    ASSERT_TRUE(session.RetractRule(i).ok());
-
-    // Retracted cells hold their before-images; every other cell is
-    // untouched.
-    std::set<uint32_t> retracted_rows;
-    for (const auto& [row, value] : entry.before) {
-      retracted_rows.insert(row);
-      EXPECT_EQ(dirty.CellText(row, entry.col),
-                dirty.pool()->Get(value));
-    }
-    for (size_t r = 0; r < dirty.num_rows(); ++r) {
-      for (size_t c = 0; c < dirty.num_cols(); ++c) {
-        if (c == entry.col && retracted_rows.count(static_cast<uint32_t>(r))) {
-          continue;
-        }
-        EXPECT_EQ(dirty.CellText(r, c), snapshot[r][c]);
-      }
-    }
-    // The entry is gone from the log.
-    EXPECT_EQ(session.log().size(), i);
   }
+
+  ASSERT_TRUE(session.RetractRule(i).ok());
+
+  // Retracted cells hold their before-images; every other cell is
+  // untouched.
+  std::set<uint32_t> retracted_rows;
+  for (const auto& [row, value] : entry.before) {
+    retracted_rows.insert(row);
+    EXPECT_EQ(dirty.CellText(row, entry.col),
+              dirty.pool()->Get(value));
+  }
+  for (size_t r = 0; r < dirty.num_rows(); ++r) {
+    for (size_t c = 0; c < dirty.num_cols(); ++c) {
+      if (c == entry.col && retracted_rows.count(static_cast<uint32_t>(r))) {
+        continue;
+      }
+      EXPECT_EQ(dirty.CellText(r, c), snapshot[r][c]);
+    }
+  }
+  // The entry is gone from the log.
+  EXPECT_EQ(session.log().size(), i);
 }
 
 TEST(RetractionTest, RetractThenContinueReconverges) {
-  for (bool delta : {true, false}) {
-    SCOPED_TRACE(delta ? "delta" : "invalidate");
-    Workload w = MakeWorkload(150);
-    std::string journal = testing::TempDir() + "/retract_continue.journal";
-    SessionOptions opt = SweepOptions(delta, journal);
-    Table dirty = w.dirty.Clone();
-    auto algo = MakeSearchAlgorithm(SearchKind::kDive);
-    CleaningSession session(&w.clean, &dirty, algo.get(), opt);
-    auto m = session.Run();
-    ASSERT_TRUE(m.ok()) << m.status();
-    ASSERT_TRUE(m->converged);
-    ASSERT_FALSE(session.log().empty());
+  Workload w = MakeWorkload(150);
+  std::string journal = testing::TempDir() + "/retract_continue.journal";
+  SessionOptions opt = SweepOptions(journal);
+  Table dirty = w.dirty.Clone();
+  auto algo = MakeSearchAlgorithm(SearchKind::kDive);
+  CleaningSession session(&w.clean, &dirty, algo.get(), opt);
+  auto m = session.Run();
+  ASSERT_TRUE(m.ok()) << m.status();
+  ASSERT_TRUE(m->converged);
+  ASSERT_FALSE(session.log().empty());
 
-    // Find a non-manual (multi-cell rule) entry to retract if one exists,
-    // else fall back to the newest entry.
-    size_t target = session.log().size() - 1;
-    for (size_t i = session.log().size(); i-- > 0;) {
-      if (!session.log().entries()[i].manual &&
-          session.log().CanUndo(i).ok()) {
-        target = i;
-        break;
-      }
+  // Find a non-manual (multi-cell rule) entry to retract if one exists,
+  // else fall back to the newest entry.
+  size_t target = session.log().size() - 1;
+  for (size_t i = session.log().size(); i-- > 0;) {
+    if (!session.log().entries()[i].manual &&
+        session.log().CanUndo(i).ok()) {
+      target = i;
+      break;
     }
-    ASSERT_TRUE(session.RetractRule(target).ok());
-    auto resumed = session.Continue();
-    ASSERT_TRUE(resumed.ok()) << resumed.status();
-    EXPECT_TRUE(resumed->converged);
-    EXPECT_EQ(dirty.CountDiffCells(w.clean), 0u);
-    // The re-cleaning costs real interactions, never negative ones.
-    EXPECT_GE(resumed->user_updates, m->user_updates);
-    EXPECT_GE(resumed->user_answers, m->user_answers);
   }
+  ASSERT_TRUE(session.RetractRule(target).ok());
+  auto resumed = session.Continue();
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE(resumed->converged);
+  EXPECT_EQ(dirty.CountDiffCells(w.clean), 0u);
+  // The re-cleaning costs real interactions, never negative ones.
+  EXPECT_GE(resumed->user_updates, m->user_updates);
+  EXPECT_GE(resumed->user_answers, m->user_answers);
 }
 
 TEST(RetractionTest, OverlappingRetractionIsRefusedAndLeavesNoTrace) {
@@ -368,7 +351,7 @@ TEST(RetractionTest, OverlappingRetractionIsRefusedAndLeavesNoTrace) {
   // leave table, log, and journal byte-identical.
   Workload w = MakeWorkload(200);
   std::string journal = testing::TempDir() + "/retract_refused.journal";
-  SessionOptions opt = SweepOptions(true, journal);
+  SessionOptions opt = SweepOptions(journal);
   opt.update_mistake_prob = 0.4;
   Table dirty = w.dirty.Clone();
   auto algo = MakeSearchAlgorithm(SearchKind::kDive);
@@ -408,7 +391,7 @@ TEST(RetractionTest, CrashAfterRetractionReplaysTheRetraction) {
   // reference outcome exactly.
   Workload w = MakeWorkload(150);
   SessionOptions ref_opt =
-      SweepOptions(true, testing::TempDir() + "/retract_ref.journal");
+      SweepOptions(testing::TempDir() + "/retract_ref.journal");
 
   auto pick_target = [](const CleaningSession& s) {
     size_t target = s.log().size() - 1;
@@ -437,7 +420,7 @@ TEST(RetractionTest, CrashAfterRetractionReplaysTheRetraction) {
   }
 
   SessionOptions crash_opt =
-      SweepOptions(true, testing::TempDir() + "/retract_crash.journal");
+      SweepOptions(testing::TempDir() + "/retract_crash.journal");
   Table dirty = w.dirty.Clone();
   {
     auto algo = MakeSearchAlgorithm(SearchKind::kDive);

@@ -88,6 +88,13 @@ TEST_P(LatticePropertyTest, NaiveInitMatchesViewInit) {
   auto slow = BuildForError(GetParam(), naive);
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(slow.ok());
+  // Kernel counts and count-derived representatives against the
+  // strawman's popcounts.
+  for (NodeId m = 0; m < fast->num_nodes(); ++m) {
+    EXPECT_EQ(fast->Count(m), slow->Count(m)) << "node " << m;
+    EXPECT_EQ(fast->Representative(m), slow->Representative(m))
+        << "node " << m;
+  }
   for (NodeId m = 0; m < fast->num_nodes(); ++m) {
     EXPECT_EQ(fast->affected(m), slow->affected(m)) << "node " << m;
   }

@@ -283,11 +283,12 @@ TEST(LatticeTest, WordRestrictedMaintenanceMatchesFreshBuild) {
   const NodeId kOneWord = 1, kBoundary = 2, kAllWords = 4;  // A1, A2, A3.
   const std::vector<size_t> cols = {1, 2, 3, 4};
   const Repair repair{kRepairRow, 0, "new"};
-  // Without the target attribute every binding survives the applies, so a
-  // fresh eager Build over the updated table is the reference. With it,
-  // T's binding changes once row kRepairRow is repaired, so the reference
-  // is an eager lattice recomputed from scratch under the original
-  // bindings — this leg also covers the predicate bitmap over T.
+  // The reference is the naive_init strawman (a row loop per node). Without
+  // the target attribute every binding survives the applies, so a fresh
+  // naive Build over the updated table is the reference. With it, T's
+  // binding changes once row kRepairRow is repaired, so the reference is a
+  // naive lattice recomputed from scratch under the original bindings —
+  // this leg also covers the predicate bitmap over T.
   for (bool with_target : {false, true}) {
     for (uint64_t seed = 0; seed < 6; ++seed) {
       SCOPED_TRACE("with_target " + std::to_string(with_target) + " seed " +
@@ -295,10 +296,10 @@ TEST(LatticeTest, WordRestrictedMaintenanceMatchesFreshBuild) {
       Table table = MaintenanceTable(seed);
       LatticeOptions options;
       options.exclude_target_attr = !with_target;
-      LatticeOptions eager = options;
-      eager.lazy = false;
+      LatticeOptions naive = options;
+      naive.naive_init = true;
       auto lat = Lattice::Build(table, repair, cols, options);
-      auto recomputed = Lattice::Build(table, repair, cols, eager);
+      auto recomputed = Lattice::Build(table, repair, cols, naive);
       ASSERT_TRUE(lat.ok() && recomputed.ok());
       Rng rng(100 + seed);
       // Partial materialization: some bitmaps, and (from the first Count
@@ -338,7 +339,7 @@ TEST(LatticeTest, WordRestrictedMaintenanceMatchesFreshBuild) {
           recomputed->RecomputeAffected(table);
           ExpectMatchesReference(*lat, *recomputed);
         } else {
-          auto fresh = Lattice::Build(table, repair, cols, eager);
+          auto fresh = Lattice::Build(table, repair, cols, naive);
           ASSERT_TRUE(fresh.ok());
           ExpectMatchesReference(*lat, *fresh);
         }

@@ -99,8 +99,7 @@ Table MakeRandomTable(size_t rows, size_t cols, size_t alphabet, Rng* rng) {
 }
 
 // Property: after a randomized sequence of cell writes reported via
-// ApplyCellDelta, every cached bitmap equals a fresh ScanEquals, and the
-// delta-maintained index agrees with the legacy invalidate-and-rescan one.
+// ApplyCellDelta, every cached bitmap equals a fresh ScanEquals.
 TEST(PostingIndexTest, DeltaMaintenanceMatchesFreshScansUnderRandomWrites) {
   Rng rng(4242);
   Table table = MakeRandomTable(257, 4, 6, &rng);
@@ -109,12 +108,7 @@ TEST(PostingIndexTest, DeltaMaintenanceMatchesFreshScansUnderRandomWrites) {
     alphabet.push_back(table.Intern("v" + std::to_string(a)));
   }
 
-  PostingIndexOptions delta_opts;
-  delta_opts.delta_maintenance = true;
-  PostingIndex delta(&table, delta_opts);
-  PostingIndexOptions legacy_opts;
-  legacy_opts.delta_maintenance = false;
-  PostingIndex legacy(&table, legacy_opts);
+  PostingIndex delta(&table);
 
   // Warm a subset of entries so deltas hit both cached and uncached values.
   for (size_t c = 0; c < table.num_cols(); ++c) {
@@ -128,14 +122,11 @@ TEST(PostingIndexTest, DeltaMaintenanceMatchesFreshScansUnderRandomWrites) {
     ValueId new_value = alphabet[rng.NextUint(alphabet.size())];
     delta.ApplyCellDelta(col, row, old_value, new_value);
     table.set_cell(row, col, new_value);
-    legacy.InvalidateColumn(col);
 
     if (step % 25 == 0) {
       size_t c = rng.NextUint(table.num_cols());
       ValueId v = alphabet[rng.NextUint(alphabet.size())];
       EXPECT_EQ(delta.Postings(c, v).ToRowSet(table.num_rows()), table.ScanEquals(c, v))
-          << "step " << step;
-      EXPECT_EQ(legacy.Postings(c, v).ToRowSet(table.num_rows()), table.ScanEquals(c, v))
           << "step " << step;
     }
   }
@@ -226,11 +217,8 @@ TEST(PostingIndexTest, CompressedPostingsMatchDenseUnderRandomWrites) {
     alphabet.push_back(table.Intern("v" + std::to_string(a)));
   }
 
-  PostingIndexOptions dense_opts;
-  dense_opts.delta_maintenance = true;
-  PostingIndex dense(&table, dense_opts);
+  PostingIndex dense(&table);
   PostingIndexOptions comp_opts;
-  comp_opts.delta_maintenance = true;
   comp_opts.compressed = true;
   PostingIndex comp(&table, comp_opts);
 
@@ -289,7 +277,6 @@ TEST(PostingIndexTest, ByteAccountingStaysExactUnderDeltas) {
       alphabet.push_back(table.Intern("v" + std::to_string(a)));
     }
     PostingIndexOptions opts;
-    opts.delta_maintenance = true;
     opts.compressed = compressed;
     // Only Trim() enforces the budget, so it bites at the end alone.
     opts.byte_budget = 16 << 10;

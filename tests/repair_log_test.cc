@@ -111,44 +111,34 @@ TEST(RepairLogTest, UndoMiddleEntryAllowedWhenDisjoint) {
 }
 
 TEST(RepairLogTest, UndoKeepsPostingBitmapsExact) {
-  for (bool delta : {true, false}) {
-    DrugExample ex = MakeDrugExample();
-    Table dirty = ex.dirty.Clone();
-    PostingIndexOptions opts;
-    opts.delta_maintenance = delta;
-    PostingIndex index(&dirty, opts);
+  DrugExample ex = MakeDrugExample();
+  Table dirty = ex.dirty.Clone();
+  PostingIndex index(&dirty);
 
-    ValueId statin = dirty.Intern("statin");
-    ValueId fixed = dirty.Intern("C22H28F");
-    // Prime the cache so there are bitmaps to maintain.
-    (void)index.Postings(1, statin);
-    (void)index.Postings(1, fixed);
+  ValueId statin = dirty.Intern("statin");
+  ValueId fixed = dirty.Intern("C22H28F");
+  // Prime the cache so there are bitmaps to maintain.
+  (void)index.Postings(1, statin);
+  (void)index.Postings(1, fixed);
 
-    RepairLog log;
-    log.Record(DummyQuery("C22H28F"), 1,
-               {{1, dirty.cell(1, 1)}, {4, dirty.cell(4, 1)}});
-    if (delta) {
-      index.ApplyCellDelta(1, 1, dirty.cell(1, 1), fixed);
-      index.ApplyCellDelta(1, 4, dirty.cell(4, 1), fixed);
-    } else {
-      index.InvalidateColumn(1);
-    }
-    dirty.set_cell(1, 1, fixed);
-    dirty.set_cell(4, 1, fixed);
+  RepairLog log;
+  log.Record(DummyQuery("C22H28F"), 1,
+             {{1, dirty.cell(1, 1)}, {4, dirty.cell(4, 1)}});
+  index.ApplyCellDelta(1, 1, dirty.cell(1, 1), fixed);
+  index.ApplyCellDelta(1, 4, dirty.cell(4, 1), fixed);
+  dirty.set_cell(1, 1, fixed);
+  dirty.set_cell(4, 1, fixed);
 
-    ASSERT_TRUE(log.Undo(0, dirty, &index).ok());
+  ASSERT_TRUE(log.Undo(0, dirty, &index).ok());
 
-    // The maintained bitmaps must match a fresh scan of the rolled-back
-    // table, in both maintenance modes.
-    PostingIndex fresh(&dirty);
-    const size_t n = dirty.num_rows();
-    EXPECT_EQ(index.Postings(1, statin).ToRowSet(n),
-              fresh.Postings(1, statin).ToRowSet(n))
-        << "delta=" << delta;
-    EXPECT_EQ(index.Postings(1, fixed).ToRowSet(n),
-              fresh.Postings(1, fixed).ToRowSet(n))
-        << "delta=" << delta;
-  }
+  // The maintained bitmaps must match a fresh scan of the rolled-back
+  // table.
+  PostingIndex fresh(&dirty);
+  const size_t n = dirty.num_rows();
+  EXPECT_EQ(index.Postings(1, statin).ToRowSet(n),
+            fresh.Postings(1, statin).ToRowSet(n));
+  EXPECT_EQ(index.Postings(1, fixed).ToRowSet(n),
+            fresh.Postings(1, fixed).ToRowSet(n));
 }
 
 TEST(RepairLogTest, ToSqlScriptListsEntries) {

@@ -11,8 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -68,12 +70,11 @@ struct Baseline {
   uint32_t crc = 0;
 };
 
-Baseline SerialBaseline(uint64_t seed, bool posting_delta = true) {
+Baseline SerialBaseline(uint64_t seed) {
   auto w = MakeCleaningWorkload("Synth10k", kScale);
   EXPECT_TRUE(w.ok());
   SessionOptions options;
   options.seed = seed;
-  options.posting_delta = posting_delta;
   Table working = w->dirty.Clone();
   auto algorithm = MakeSearchAlgorithm(SearchKind::kCoDive);
   CleaningSession session(&w->clean, &working, algorithm.get(), options);
@@ -143,13 +144,10 @@ TEST(ServiceRecoveryTest, TornJournalTailReplaysToLastCompleteRecord) {
   const std::string dir = TempJournalDir("torn");
   ServiceLimits limits;
   limits.journal_dir = dir;
-  SessionManager::OpenParams params = SmallParams(11);
-  params.posting_delta = false;  // Cover the rescan posting mode too.
-
   std::string id;
   {
     SessionManager manager(limits);
-    auto opened = manager.Open(params);
+    auto opened = manager.Open(SmallParams(11));
     ASSERT_TRUE(opened.ok());
     id = *opened;
     ASSERT_TRUE(manager.Step(id, 1).ok());
@@ -166,13 +164,89 @@ TEST(ServiceRecoveryTest, TornJournalTailReplaysToLastCompleteRecord) {
   // The tolerant reader dropped the torn record, replay completed any
   // interrupted episode, and the session still converges to the
   // uninterrupted run's exact table.
-  Baseline want = SerialBaseline(11, /*posting_delta=*/false);
+  Baseline want = SerialBaseline(11);
   auto done = recovered.Step(id, 0);
   ASSERT_TRUE(done.ok()) << done.status().ToString();
   EXPECT_TRUE(done->finished);
   EXPECT_EQ(done->table_crc, want.crc);
   EXPECT_EQ(done->metrics.user_updates, want.metrics.user_updates);
   EXPECT_EQ(done->metrics.user_answers, want.metrics.user_answers);
+}
+
+// Opens a session with `seed`, runs one episode, and leaves its journal and
+// meta behind (graceful shutdown). Returns the session id.
+std::string LeaveSteppedSession(const ServiceLimits& limits, uint64_t seed) {
+  SessionManager manager(limits);
+  auto opened = manager.Open(SmallParams(seed));
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  if (!opened.ok()) return "";
+  EXPECT_TRUE(manager.Step(*opened, 1).ok());
+  return *opened;
+}
+
+// Rewrites one field of the meta sidecar of session `id`.
+void RewriteMetaField(const std::string& dir, const std::string& id,
+                      const std::string& key, const JsonValue& value) {
+  const std::string path = dir + "/" + id + ".meta";
+  std::ifstream in(path);
+  std::string body((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  auto meta = JsonValue::Parse(body);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  meta->Set(key, value);
+  std::ofstream(path, std::ios::trunc) << meta->Serialize() << "\n";
+}
+
+// Metas written by older versions carry a "posting_delta" field, which
+// no longer selects anything: the decoder ignores it, whatever its value,
+// and the session ends bit-identical to the serial run.
+TEST(ServiceRecoveryTest, MetaWithRetiredPostingDeltaFieldRecovers) {
+  const std::string dir = TempJournalDir("retired_field");
+  ServiceLimits limits;
+  limits.journal_dir = dir;
+  const std::string id = LeaveSteppedSession(limits, 13);
+  ASSERT_FALSE(id.empty());
+  RewriteMetaField(dir, id, "posting_delta", JsonValue(false));
+
+  SessionManager recovered(limits);
+  ASSERT_EQ(recovered.RecoverSessions(), 1u);
+  Baseline want = SerialBaseline(13);
+  auto done = recovered.Step(id, 0);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_TRUE(done->finished);
+  EXPECT_EQ(done->table_crc, want.crc);
+  EXPECT_EQ(done->metrics.user_updates, want.metrics.user_updates);
+  EXPECT_EQ(done->metrics.user_answers, want.metrics.user_answers);
+  EXPECT_EQ(done->metrics.cells_repaired, want.metrics.cells_repaired);
+}
+
+// A meta decodes through open_session's checks: a negative seed is not
+// wrapped to 2^64 - 3 and a fractional budget is not truncated. The
+// startup scan skips such a session and keeps its files; an explicit
+// resume reports why.
+TEST(ServiceRecoveryTest, MetaWithBadNumbersIsRefusedAndRetained) {
+  const std::pair<const char*, JsonValue> bad[] = {{"seed", JsonValue(-3)},
+                                                   {"budget", JsonValue(2.5)}};
+  for (const auto& [key, value] : bad) {
+    SCOPED_TRACE(key);
+    const std::string dir = TempJournalDir(std::string("bad_") + key);
+    ServiceLimits limits;
+    limits.journal_dir = dir;
+    const std::string id = LeaveSteppedSession(limits, 17);
+    ASSERT_FALSE(id.empty());
+    RewriteMetaField(dir, id, key, value);
+
+    SessionManager recovered(limits);
+    EXPECT_EQ(recovered.RecoverSessions(), 0u);
+    EXPECT_EQ(recovered.active_sessions(), 0u);
+    EXPECT_TRUE(FileExists(dir + "/" + id + ".journal"));
+    EXPECT_TRUE(FileExists(dir + "/" + id + ".meta"));
+    auto resumed = recovered.Resume(id);
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(resumed.status().message().find(key), std::string::npos)
+        << resumed.status().ToString();
+  }
 }
 
 TEST(ServiceRecoveryTest, JournalLifecycleDeleteOnCloseRetainOnShutdown) {

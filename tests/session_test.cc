@@ -49,38 +49,30 @@ TEST(SessionTest, EveryAlgorithmConverges) {
   }
 }
 
-TEST(SessionTest, DeltaMaintainedIndexMatchesInvalidationMode) {
-  // The delta-maintained posting cache must be behaviour-preserving: the
-  // same session in delta, invalidate, and budgeted-eviction mode has to
-  // produce bit-identical interaction metrics.
+TEST(SessionTest, BudgetedPostingIndexMatchesUnbounded) {
+  // The delta-maintained posting cache must be behaviour-preserving under
+  // eviction: the same session with an unbounded and a tightly budgeted
+  // cache has to produce bit-identical interaction metrics.
   Workload w = MakeWorkload(2000);
-  SessionOptions delta;
-  delta.budget = 3;
-  delta.posting_delta = true;
-  SessionOptions legacy = delta;
-  legacy.posting_delta = false;
-  SessionOptions budgeted = delta;
+  SessionOptions unbounded;
+  unbounded.budget = 3;
+  SessionOptions budgeted = unbounded;
   budgeted.posting_budget_bytes = 4096;  // Tight cap: constant evictions.
 
-  auto md = RunCleaning(w.clean, w.dirty, SearchKind::kDive, delta);
-  auto mi = RunCleaning(w.clean, w.dirty, SearchKind::kDive, legacy);
+  auto mu = RunCleaning(w.clean, w.dirty, SearchKind::kDive, unbounded);
   auto mb = RunCleaning(w.clean, w.dirty, SearchKind::kDive, budgeted);
-  ASSERT_TRUE(md.ok());
-  ASSERT_TRUE(mi.ok());
+  ASSERT_TRUE(mu.ok());
   ASSERT_TRUE(mb.ok());
-  for (const auto* m : {&*mi, &*mb}) {
-    EXPECT_EQ(m->user_updates, md->user_updates);
-    EXPECT_EQ(m->user_answers, md->user_answers);
-    EXPECT_EQ(m->cells_repaired, md->cells_repaired);
-    EXPECT_EQ(m->queries_applied, md->queries_applied);
-    EXPECT_EQ(m->converged, md->converged);
-  }
-  EXPECT_TRUE(md->converged);
-  // The counters surface in the metrics: delta mode reports patched rows,
-  // the legacy mode reports rescans instead, the budgeted run evictions.
-  EXPECT_GT(md->posting_misses, 0u);
-  EXPECT_EQ(mi->posting_delta_rows, 0u);
-  EXPECT_GE(mi->posting_misses, md->posting_misses);
+  EXPECT_EQ(mb->user_updates, mu->user_updates);
+  EXPECT_EQ(mb->user_answers, mu->user_answers);
+  EXPECT_EQ(mb->cells_repaired, mu->cells_repaired);
+  EXPECT_EQ(mb->queries_applied, mu->queries_applied);
+  EXPECT_EQ(mb->converged, mu->converged);
+  EXPECT_TRUE(mu->converged);
+  // The counters surface in the metrics: misses and patched rows, and the
+  // budgeted run's evictions.
+  EXPECT_GT(mu->posting_misses, 0u);
+  EXPECT_GT(mu->posting_delta_rows, 0u);
   EXPECT_GT(mb->posting_evictions, 0u);
 }
 
